@@ -14,6 +14,9 @@
 //   * jacobi8.pool_fallback_allocs — fallback allocations across a real
 //     8-node Jacobi experiment, read from the obs registry; proves the
 //     inline buffer covers every capture the library's own layers create.
+//   * jacobi8.process_switches / jacobi8.event_order_hash_low32 — the
+//     same run's process resumes and dispatch-order fingerprint, gated
+//     exactly: a change to how ranks are resumed must leave both alone.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -233,6 +236,9 @@ int run(bench::BenchContext& ctx) {
     ctx.metric("jacobi8.pool_inline_events",
                static_cast<double>(
                    registry.counter("sim.engine.pool.inline_events").value()));
+    ctx.metric("jacobi8.process_switches",
+               static_cast<double>(
+                   registry.counter("sim.engine.process_switches").value()));
     ctx.metric("jacobi8.event_order_hash_low32",
                static_cast<double>(r.event_order_hash & 0xffffffffULL));
   }

@@ -1,5 +1,6 @@
 #include "serve/client.hpp"
 
+#include <string_view>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -51,13 +52,17 @@ std::string Client::request(std::string_view line) const {
     GEARSIM_REQUIRE(false, "write " + socket_path_ + ": " + error);
   }
 
+  // Read in blocks: one read() usually carries the whole response.  The
+  // daemon answers one line per request, so the first '\n' ends it.
   std::string response;
-  char c = 0;
+  char block[16384];
   for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n == 1) {
-      if (c == '\n') break;
-      response += c;
+    const ssize_t n = ::read(fd, block, sizeof(block));
+    if (n > 0) {
+      const std::string_view chunk(block, static_cast<std::size_t>(n));
+      const std::size_t newline = chunk.find('\n');
+      response.append(chunk.substr(0, newline));
+      if (newline != std::string_view::npos) break;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;

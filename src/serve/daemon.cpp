@@ -25,21 +25,32 @@ Daemon::~Daemon() { stop(); }
 
 namespace {
 
-/// Read until '\n' or EOF.  Returns false on EOF-before-any-byte (clean
-/// close) and on read errors; partial lines without a newline are
+/// Read the next line, without its '\n'.  Reads in blocks; `pending`
+/// keeps the bytes past the newline for the next call, so a client may
+/// send several lines at once.  Returns false on EOF-before-any-byte
+/// (clean close) and on read errors; a partial line without a newline is
 /// delivered as-is so a client that forgets the terminator still gets an
 /// answer before EOF ends the connection.
-bool read_line(int fd, std::string& line) {
-  line.clear();
-  char c = 0;
+bool read_line(int fd, std::string& pending, std::string& line) {
+  std::size_t scanned = 0;
   for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n == 1) {
-      if (c == '\n') return true;
-      line += c;
+    const std::size_t newline = pending.find('\n', scanned);
+    if (newline != std::string::npos) {
+      line.assign(pending, 0, newline);
+      pending.erase(0, newline + 1);
+      return true;
+    }
+    scanned = pending.size();
+    char block[4096];
+    const ssize_t n = ::read(fd, block, sizeof(block));
+    if (n > 0) {
+      pending.append(block, static_cast<std::size_t>(n));
       continue;
     }
-    if (n == 0) return !line.empty();
+    if (n == 0) {
+      line = std::exchange(pending, {});
+      return !line.empty();
+    }
     if (errno == EINTR) continue;
     return false;
   }
@@ -102,18 +113,38 @@ void Daemon::accept_loop() {
       ::close(fd);
       continue;
     }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    std::vector<std::thread> done;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (const auto it : finished_) {
+        done.push_back(std::move(*it));
+        connections_.erase(it);
+      }
+      finished_.clear();
+      const auto it = connections_.emplace(connections_.end());
+      // Assigned under the lock, so the thread cannot report itself
+      // finished before its slot holds it.
+      *it = std::thread([this, fd, it] {
+        serve_connection(fd);
+        const std::lock_guard<std::mutex> finished_lock(mutex_);
+        finished_.push_back(it);
+      });
+    }
+    // Each of these has returned from serve_connection, so joining is
+    // brief; it releases the thread's stack now, not at stop().
+    for (std::thread& t : done) t.join();
   }
   running_.store(false, std::memory_order_release);
   stopped_cv_.notify_all();
 }
 
 void Daemon::serve_connection(int fd) {
+  std::string pending;
   std::string line;
-  while (read_line(fd, line)) {
-    const std::string response = service_.handle_line(line);
-    if (!write_all(fd, response) || !write_all(fd, "\n")) break;
+  while (read_line(fd, pending, line)) {
+    std::string response = service_.handle_line(line);
+    response += '\n';
+    if (!write_all(fd, response)) break;
     if (service_.shutdown_requested()) {
       // The shutdown answer is already on the wire; tear the listener
       // down so wait() returns and no new connections land.
@@ -144,13 +175,20 @@ void Daemon::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
   request_stop();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  // The accept loop is gone, so only this thread takes from the list; a
+  // connection still running may yet append to finished_, which is
+  // therefore cleared only after every join.
+  std::list<std::thread> connections;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     connections.swap(connections_);
   }
   for (std::thread& t : connections) {
     if (t.joinable()) t.join();
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    finished_.clear();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

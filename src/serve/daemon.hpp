@@ -5,7 +5,9 @@
 // round trips per connection; EOF ends it).  Threading is
 // thread-per-connection — simulation time dwarfs thread setup by orders
 // of magnitude, and the Service underneath already bounds concurrent
-// simulation work through its admission gate.
+// simulation work through its admission gate.  The accept loop joins
+// the threads of closed connections, so live threads track open
+// connections.
 //
 // Lifecycle: start() binds (replacing any stale socket file), listens
 // and spawns the accept loop; a client's shutdown request — or a local
@@ -18,6 +20,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -71,9 +74,15 @@ class Daemon {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::mutex mutex_;  // Guards connections_ and the stop cv.
+  std::mutex mutex_;  // Guards connections_, finished_ and the stop cv.
   std::condition_variable stopped_cv_;
-  std::vector<std::thread> connections_;
+  /// One thread per open connection, plus any that finished since the
+  /// last accept.
+  std::list<std::thread> connections_;
+  /// Connections whose thread has left serve_connection; the accept loop
+  /// joins and drops them, so threads and their stacks do not pile up in
+  /// a long-lived daemon.
+  std::vector<std::list<std::thread>::iterator> finished_;
 };
 
 }  // namespace gearsim::serve

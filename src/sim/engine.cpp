@@ -1,9 +1,27 @@
 #include "sim/engine.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <system_error>
 #include <utility>
 
 #include "util/log.hpp"
+
+// Sanitizers must be told about every stack switch, or ASAN misreads the
+// fiber stacks as overflows of the thread stack and TSAN loses the
+// happens-before edge a switch carries.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace gearsim::sim {
 
@@ -11,45 +29,165 @@ namespace gearsim::sim {
 // Process
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Usable stack per process.  Rank bodies are shallow (workload skeleton
+/// -> mpi::Comm -> engine): the deepest any test or workload reaches is
+/// 8 KiB in a Release build and 12 KiB under ASAN.  The stack is address
+/// space until touched, so the wide margin is cheap.
+constexpr std::size_t kStackBytes = std::size_t{256} << 10;
+
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
+
+struct Process::Fiber {
+  ucontext_t context{};  // The body's registers while it is parked.
+  ucontext_t caller{};   // The resume() that entered it; rewritten per resume.
+  void* mapping = nullptr;  // One guard page, then the stack.
+  std::size_t mapping_bytes = kStackBytes + page_bytes();
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack = nullptr;  // The body's ASAN fake stack while parked.
+  const void* caller_bottom = nullptr;  // The resuming thread's stack.
+  std::size_t caller_size = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* tsan_fiber = nullptr;
+  void* tsan_caller = nullptr;
+#endif
+
+  explicit Fiber(Process* owner) {
+    // MAP_NORESERVE and no zero-fill: pages are committed on first touch,
+    // so a parked rank costs the stack depth it reached, not kStackBytes.
+    mapping = ::mmap(nullptr, mapping_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    if (mapping == MAP_FAILED) {
+      const int error = errno;
+      throw std::system_error(error, std::generic_category(),
+                              "mapping the stack of process " + owner->name_);
+    }
+    // The lowest page (stacks grow down) faults on overflow instead of
+    // writing into whatever is mapped below.
+    if (::mprotect(mapping, page_bytes(), PROT_NONE) != 0) {
+      const int error = errno;
+      ::munmap(mapping, mapping_bytes);
+      throw std::system_error(error, std::generic_category(),
+                              "guarding the stack of process " + owner->name_);
+    }
+    ::getcontext(&context);
+    context.uc_stack.ss_sp = stack_bottom();
+    context.uc_stack.ss_size = kStackBytes;
+    context.uc_link = nullptr;  // entry() never returns.
+    const std::uint64_t self = reinterpret_cast<std::uintptr_t>(owner);
+    ::makecontext(&context, reinterpret_cast<void (*)()>(&Process::entry), 2,
+                  static_cast<unsigned>(self >> 32),
+                  static_cast<unsigned>(self));
+#if defined(__SANITIZE_THREAD__)
+    tsan_fiber = __tsan_create_fiber(0);
+#endif
+  }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  ~Fiber() {
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsan_fiber);
+#endif
+    ::munmap(mapping, mapping_bytes);
+  }
+
+  [[nodiscard]] char* stack_bottom() const {
+    return static_cast<char*>(mapping) + page_bytes();
+  }
+
+  /// Caller side: run the body until it switches out.
+  void switch_in() {
+#if defined(__SANITIZE_ADDRESS__)
+    void* caller_fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&caller_fake_stack, stack_bottom(),
+                                   kStackBytes);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    tsan_caller = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(tsan_fiber, 0);
+#endif
+    ::swapcontext(&caller, &context);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(caller_fake_stack, nullptr, nullptr);
+#endif
+  }
+
+  /// Fiber side: return to the caller of switch_in().  A finished body
+  /// jumps out for good and leaves its context unsaved.
+  void switch_out(bool finished) {
+#if defined(__SANITIZE_ADDRESS__)
+    // No save slot for a finished body: ASAN then frees its fake stack.
+    __sanitizer_start_switch_fiber(finished ? nullptr : &fake_stack,
+                                   caller_bottom, caller_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(tsan_caller, 0);
+#endif
+    if (finished) ::setcontext(&caller);
+    ::swapcontext(&context, &caller);
+    entered();
+  }
+
+  /// Fiber side, after every switch in: learn which stack to return to.
+  void entered() {
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack, &caller_bottom, &caller_size);
+#endif
+  }
+};
+
 Process::Process(Engine& engine, std::string name,
                  std::function<void(Process&)> body)
-    : engine_(engine), name_(std::move(name)), body_(std::move(body)) {}
+    : engine_(engine),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      fiber_(std::make_unique<Fiber>(this)) {}
 
-Process::~Process() {
-  // Engine::~Engine terminates live processes before destroying them; by
-  // the time we get here the thread has either finished or never started.
-  if (thread_.joinable()) thread_.join();
-}
+// Engine::~Engine terminates live processes before destroying them, so by
+// now the body has finished and its fiber has been released.
+Process::~Process() = default;
 
 Seconds Process::now() const { return engine_.now(); }
 
-void Process::start_thread() {
-  thread_ = std::thread([this] {
-    // Wait for the first resume() before touching simulation state.
-    run_sem_.acquire();
-    if (!terminate_requested_) {
-      try {
-        state_ = State::kRunning;
-        body_(*this);
-      } catch (const ProcessTerminated&) {
-        // Engine teardown: unwind silently.
-      } catch (...) {
-        error_ = std::current_exception();
-      }
+void Process::entry(unsigned hi, unsigned lo) {
+  auto* self = reinterpret_cast<Process*>(
+      static_cast<std::uintptr_t>((std::uint64_t{hi} << 32) | lo));
+  self->fiber_->entered();
+  if (!self->terminate_requested_) {
+    try {
+      self->state_ = State::kRunning;
+      self->body_(*self);
+    } catch (const ProcessTerminated&) {
+      // Engine teardown: unwind silently.
+    } catch (...) {
+      std::exception_ptr& slot = self->engine_.process_error_;
+      if (!slot) slot = std::current_exception();
     }
-    state_ = State::kFinished;
-    done_sem_.release();
-  });
+  }
+  self->state_ = State::kFinished;
+  self->fiber_->switch_out(/*finished=*/true);
+  std::abort();  // Unreachable: a finished fiber is never resumed.
 }
 
 void Process::resume() {
-  run_sem_.release();
-  done_sem_.acquire();
+  if (engine_.m_switches_ != nullptr) engine_.m_switches_->add();
+  fiber_->switch_in();
+  // A finished body needs its stack no longer; give it back right away.
+  if (state_ == State::kFinished) fiber_.reset();
 }
 
 void Process::yield_to_engine() {
-  done_sem_.release();
-  run_sem_.acquire();
+  fiber_->switch_out(/*finished=*/false);
   if (terminate_requested_) throw ProcessTerminated{};
   state_ = State::kRunning;
 }
@@ -85,7 +223,11 @@ void Process::wake(EventBatch& into) {
 void Process::terminate() {
   if (state_ == State::kFinished) return;
   terminate_requested_ = true;
-  resume();  // releases run_sem; thread unwinds and releases done_sem.
+  // A parked body throws ProcessTerminated out of its yield and unwinds;
+  // one never entered skips its body.  Either way it finishes.  Not a
+  // counted switch: teardown is no simulation work.
+  fiber_->switch_in();
+  if (state_ == State::kFinished) fiber_.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -98,6 +240,7 @@ void Engine::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_events_ = nullptr;
     m_spawned_ = nullptr;
+    m_switches_ = nullptr;
     m_queue_high_water_ = nullptr;
     m_pool_inline_ = nullptr;
     m_pool_fallback_ = nullptr;
@@ -105,13 +248,14 @@ void Engine::set_metrics(obs::MetricsRegistry* metrics) {
   }
   m_events_ = &metrics->counter("sim.engine.events_dispatched");
   m_spawned_ = &metrics->counter("sim.engine.processes_spawned");
+  m_switches_ = &metrics->counter("sim.engine.process_switches");
   m_queue_high_water_ = &metrics->gauge("sim.engine.queue_high_water");
   m_pool_inline_ = &metrics->counter("sim.engine.pool.inline_events");
   m_pool_fallback_ = &metrics->counter("sim.engine.pool.fallback_allocs");
 }
 
 void Engine::terminate_processes() {
-  // Unwind the process threads first — their stack destructors may
+  // Unwind the process fibers first — their stack destructors may
   // schedule or reference nothing, but they must not observe a
   // half-destroyed queue — then destroy the dropped pending events while
   // the objects their captures reference (world, meters, stack locals of
@@ -169,28 +313,26 @@ void Engine::count_pool_path(bool on_heap) {
   }
 }
 
-Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
-  auto proc = std::unique_ptr<Process>(
-      new Process(*this, std::move(name), std::move(body)));
-  Process& ref = *proc;
-  ref.start_thread();
+Process& Engine::make_process(std::string name,
+                             std::function<void(Process&)> body) {
+  processes_.push_back(std::unique_ptr<Process>(
+      new Process(*this, std::move(name), std::move(body))));
+  Process& ref = *processes_.back();
   ref.state_ = Process::State::kReady;
-  schedule_at(now_, [&ref] { ref.resume(); });
-  processes_.push_back(std::move(proc));
   if (m_spawned_ != nullptr) m_spawned_->add();
+  return ref;
+}
+
+Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
+  Process& ref = make_process(std::move(name), std::move(body));
+  schedule_at(now_, [&ref] { ref.resume(); });
   return ref;
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
                        EventBatch& into) {
-  auto proc = std::unique_ptr<Process>(
-      new Process(*this, std::move(name), std::move(body)));
-  Process& ref = *proc;
-  ref.start_thread();
-  ref.state_ = Process::State::kReady;
+  Process& ref = make_process(std::move(name), std::move(body));
   into.add(now_, [&ref] { ref.resume(); });
-  processes_.push_back(std::move(proc));
-  if (m_spawned_ != nullptr) m_spawned_->add();
   return ref;
 }
 
@@ -227,15 +369,6 @@ void Engine::check_deadlock() const {
       throw SimulationError(
           "simulation deadlock: event queue empty with blocked processes [" +
           blocked + "] at t=" + std::to_string(now().value()) + "s");
-    }
-  }
-}
-
-void Engine::rethrow_process_error() {
-  for (auto& p : processes_) {
-    if (p->error_) {
-      const std::exception_ptr err = std::exchange(p->error_, nullptr);
-      std::rethrow_exception(err);
     }
   }
 }

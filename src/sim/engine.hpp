@@ -2,11 +2,15 @@
 //
 // The engine owns simulated time and an event queue.  Simulation actors
 // (MPI ranks, power-meter samplers) are either plain timed callbacks or
-// *processes*: user functions running on their own OS thread that the
-// engine resumes one at a time.  Exactly one thread — the engine or a
-// single process — executes at any instant, handing control back and forth
-// through semaphores, so no simulation state needs locking and every run
-// is deterministic.
+// *processes*: user functions running as stackful fibers that the engine
+// resumes one at a time.  A fiber has its own lazily committed stack
+// (docs/API.md § Engine internals gives its size and guard page) and runs
+// on whichever thread calls resume(): control passes by a user-space
+// context switch, not an OS-thread handoff, so exactly one body executes
+// per engine at any instant, no simulation state needs locking and every
+// run is deterministic.  A body must hold no thread-local state across a
+// yield (delay/block): under ParallelEngine the next resume may come from
+// another worker thread.
 //
 // Processes let workload skeletons be written as ordinary blocking code
 // (compute / mpi.send / mpi.recv ...), mirroring how real MPI programs
@@ -16,9 +20,8 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -72,10 +75,16 @@ class Process {
   friend class Engine;
   Process(Engine& engine, std::string name, std::function<void(Process&)> body);
 
-  void start_thread();
-  /// Engine-side: hand control to the process, wait until it yields.
+  /// The fiber: stack mapping, saved contexts and sanitizer bookkeeping
+  /// (engine.cpp).  Released as soon as the body finishes.
+  struct Fiber;
+
+  /// Fiber entry point; runs the body and switches back, never returns.
+  /// makecontext passes only ints, so `this` arrives split in halves.
+  static void entry(unsigned hi, unsigned lo);
+  /// Engine-side: switch into the fiber until it yields or finishes.
   void resume();
-  /// Process-side: hand control back to the engine.
+  /// Process-side: switch back to the resume() that entered the fiber.
   void yield_to_engine();
   /// Engine-side: request cooperative termination of a live process.
   void terminate();
@@ -85,13 +94,10 @@ class Process {
   std::function<void(Process&)> body_;
   State state_ = State::kCreated;
   bool terminate_requested_ = false;
-  std::exception_ptr error_;
-  std::binary_semaphore run_sem_{0};
-  std::binary_semaphore done_sem_{0};
-  std::thread thread_;
+  std::unique_ptr<Fiber> fiber_;
 };
 
-/// Exception used internally to unwind a process thread when the engine is
+/// Exception used internally to unwind a process fiber when the engine is
 /// torn down before the process body finished.  Never escapes the library.
 struct ProcessTerminated {};
 
@@ -166,7 +172,7 @@ class Engine {
   /// Cooperatively unwind every live process now (idempotent; the
   /// destructor calls it too).  When aborting a run, call this while the
   /// objects the process bodies reference are still alive — stack
-  /// unwinding in the process threads runs destructors that may touch
+  /// unwinding on the process fibers runs destructors that may touch
   /// them, and the pending events dropped from the queue hold pooled
   /// callables whose captures may too, so the queue is cleared here (at a
   /// point where the referents are guaranteed alive) rather than at
@@ -216,9 +222,9 @@ class Engine {
   }
 
   /// Attach a metrics registry (nullptr detaches).  The engine then
-  /// reports events dispatched, processes spawned and the event-queue
-  /// high-water mark — all sim-domain facts, so attaching a registry
-  /// never perturbs simulation results.
+  /// reports events dispatched, processes spawned, process switches and
+  /// the event-queue high-water mark — all sim-domain facts, so attaching
+  /// a registry never perturbs simulation results.
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -227,7 +233,13 @@ class Engine {
   void dispatch_one();
   void count_pool_path(bool on_heap);
   void check_deadlock() const;
-  void rethrow_process_error();
+  Process& make_process(std::string name, std::function<void(Process&)> body);
+  /// Rethrow (once) the first exception a process body raised.
+  void rethrow_process_error() {
+    if (process_error_) [[unlikely]] {
+      std::rethrow_exception(std::exchange(process_error_, nullptr));
+    }
+  }
 
   EventQueue queue_;
   Seconds now_{0.0};
@@ -240,8 +252,12 @@ class Engine {
   std::uint64_t pool_inline_events_ = 0;
   std::uint64_t pool_fallback_allocs_ = 0;
   bool running_ = false;
+  /// First exception raised by a process body, recorded by the fiber
+  /// entry and rethrown by the run loop after the dispatching event.
+  std::exception_ptr process_error_;
   obs::Counter* m_events_ = nullptr;
   obs::Counter* m_spawned_ = nullptr;
+  obs::Counter* m_switches_ = nullptr;
   obs::Gauge* m_queue_high_water_ = nullptr;
   obs::Counter* m_pool_inline_ = nullptr;
   obs::Counter* m_pool_fallback_ = nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <thread>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -14,10 +13,7 @@ namespace {
 
 int resolve_partition_threads(int threads, std::size_t partitions) {
   if (threads == 0) return static_cast<int>(partitions);
-  if (threads < 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : static_cast<int>(hw);
-  }
+  if (threads < 0) threads = resolve_jobs(-1);  // Hardware count.
   return std::clamp(threads, 1, static_cast<int>(partitions));
 }
 

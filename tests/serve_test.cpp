@@ -13,10 +13,13 @@
 // AF_UNIX transport end to end.  See docs/SERVICE.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -35,6 +38,14 @@
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
 #include "workloads/registry.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <cstring>
+#endif
 
 namespace gearsim::serve {
 namespace {
@@ -627,6 +638,102 @@ TEST(DaemonTest, OneConnectionCanCarryManyRequests) {
                 "type")
                 .as_string(),
             "stats");
+  daemon.request_stop();
+  daemon.stop();
+}
+
+TEST(DaemonTest, PipelinedLinesOnOneConnectionAreAnsweredInOrder) {
+  // Two requests in one write: the daemon's block reads must keep the
+  // bytes after the first newline for the second line.
+  const TempDir dir("daemonpipe");
+  const std::string socket = (dir.path / "s.sock").string();
+  Service service(memory_only_options());
+  Daemon daemon(service, {socket});
+  daemon.start();
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket.c_str(), socket.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string requests =
+      "{\"type\":\"stats\"}\n{\"type\":\"bogus\"}\n";
+  ASSERT_EQ(::write(fd, requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string wire;
+  char block[4096];
+  for (ssize_t n; (n = ::read(fd, block, sizeof(block))) > 0;) {
+    wire.append(block, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+
+  const std::size_t first = wire.find('\n');
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_EQ(wire.back(), '\n');
+  EXPECT_EQ(wire.find('\n', first + 1), wire.size() - 1);  // Two lines.
+  EXPECT_EQ(json::field(json::parse(wire.substr(0, first)).as_object(),
+                        "type")
+                .as_string(),
+            "stats");
+  EXPECT_EQ(json::field(json::parse(wire.substr(first + 1,
+                                                wire.size() - first - 2))
+                            .as_object(),
+                        "status")
+                .as_string(),
+            "error");
+  daemon.request_stop();
+  daemon.stop();
+}
+
+/// Line count of a /proc/self file (0 where /proc is absent).
+std::size_t proc_self_lines(const char* name) {
+  std::ifstream in(std::string("/proc/self/") + name);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+std::size_t proc_self_tasks() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(DaemonTest, FinishedConnectionThreadsAreReaped) {
+  // Every query is one connection and one thread.  A long-lived daemon
+  // must join the finished ones as it goes: an unjoined thread keeps its
+  // stack mapped, and the mappings pile up until the process hits its
+  // map-count limit.
+  const TempDir dir("daemonreap");
+  const std::string socket = (dir.path / "s.sock").string();
+  Service service(memory_only_options());
+  Daemon daemon(service, {socket});
+  daemon.start();
+  const Client client(socket);
+  (void)client.request("{\"type\":\"stats\"}");  // Warm allocator arenas.
+  const std::size_t tasks_before = proc_self_tasks();
+  const std::size_t maps_before = proc_self_lines("maps");
+  if (tasks_before == 0 || maps_before == 0) {
+    daemon.request_stop();
+    daemon.stop();
+    GTEST_SKIP() << "no /proc/self on this platform";
+  }
+  std::size_t tasks_peak = 0;
+  std::size_t maps_peak = 0;
+  for (int i = 0; i < 200; ++i) {
+    (void)client.request("{\"type\":\"stats\"}");
+    tasks_peak = std::max(tasks_peak, proc_self_tasks());
+    maps_peak = std::max(maps_peak, proc_self_lines("maps"));
+  }
+  // Unreaped, 200 connections would leave 200 stacks (400 mappings).
+  EXPECT_LE(tasks_peak, tasks_before + 4);
+  EXPECT_LE(maps_peak, maps_before + 40);
   daemon.request_stop();
   daemon.stop();
 }

@@ -3,13 +3,19 @@
 // event-order hashes that pin the dispatch order across kernel changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "cluster/experiment.hpp"
 #include "exec/sweep_runner.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "workloads/nas.hpp"
 
@@ -207,7 +213,7 @@ TEST(Engine, ManyProcessesFinish) {
 
 TEST(Engine, TeardownWithLiveProcessesDoesNotHang) {
   // An engine destroyed while a process is blocked must terminate the
-  // process thread cleanly (no join hang, no crash).
+  // process fiber cleanly (no hang, no crash).
   auto e = std::make_unique<Engine>();
   e->spawn("forever", [](Process& p) { p.block(); });
   try {
@@ -252,7 +258,7 @@ TEST(Engine, MidRunThrowPropagatesExactlyOnceWithCleanTeardown) {
 }
 
 TEST(Engine, TerminateProcessesUnwindsEarlyAndIsIdempotent) {
-  // terminate_processes() lets a caller unwind live process threads while
+  // terminate_processes() lets a caller unwind live process fibers while
   // the objects their stacks reference are still alive (the engine
   // destructor would otherwise do it last).  Stack unwinding must run the
   // process-frame destructors; calling it twice is harmless.
@@ -308,6 +314,148 @@ TEST(Process, StateTransitions) {
   EXPECT_EQ(p.state(), Process::State::kFinished);
   EXPECT_TRUE(p.finished());
   EXPECT_EQ(p.name(), "p");
+}
+
+// ---------------------------------------------------------------------------
+// Fiber-backed processes
+// ---------------------------------------------------------------------------
+
+/// Live OS threads of this process (Linux); 0 where /proc is absent.
+std::size_t os_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(Process, RanksRunAsFibersWithoutOsThreads) {
+  const std::size_t before = os_threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  Engine e;
+  std::size_t during = 0;
+  int finished = 0;
+  for (int i = 0; i < 64; ++i) {
+    e.spawn(std::to_string(i), [&, i](Process& p) {
+      p.delay(seconds(0.001 * i));
+      during = std::max(during, os_threads());
+      p.delay(seconds(1.0));
+      ++finished;
+    });
+  }
+  EXPECT_EQ(os_threads(), before);  // Spawning starts nothing.
+  e.run();
+  EXPECT_EQ(finished, 64);
+  EXPECT_EQ(during, before);  // Neither does running them.
+}
+
+struct ThrownFromFiber : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+void throw_after_yields(Process& p, int depth) {
+  if (depth == 0) throw ThrownFromFiber("deep");
+  p.delay(seconds(1.0));
+  throw_after_yields(p, depth - 1);
+}
+
+TEST(Process, ExceptionFromANestedFrameIsRethrownByRun) {
+  obs::MetricsRegistry metrics;  // Outlives the engine.
+  Engine e;
+  e.set_metrics(&metrics);
+  e.spawn("bystander", [](Process& p) { p.delay(seconds(100.0)); });
+  e.spawn("thrower", [](Process& p) { throw_after_yields(p, 5); });
+  try {
+    e.run();
+    FAIL() << "expected ThrownFromFiber";
+  } catch (const ThrownFromFiber& err) {
+    EXPECT_STREQ(err.what(), "deep");
+  }
+  EXPECT_EQ(e.now(), seconds(5.0));
+  // Start of each body, then the thrower's five delays.
+  EXPECT_EQ(metrics.counter("sim.engine.process_switches").value(), 7U);
+}
+
+TEST(Process, TerminateUnwindsEveryParkedFiberStack) {
+  // terminate_processes() must run the destructors of locals in every
+  // frame of every parked body, innermost first, before it returns.
+  struct Sentinel {
+    std::vector<int>* log;
+    int id;
+    ~Sentinel() { log->push_back(id); }
+  };
+  constexpr int kRanks = 16;
+  std::vector<int> log;
+  Engine e;
+  for (int r = 0; r < kRanks; ++r) {
+    e.spawn(std::to_string(r), [&log, r](Process& p) {
+      const Sentinel outer{&log, 2 * r};
+      const auto park = [&] {
+        const Sentinel inner{&log, 2 * r + 1};
+        if (r % 2 == 0) {
+          p.block();
+        } else {
+          p.delay(seconds(1e9));
+        }
+      };
+      park();
+    });
+  }
+  e.run_until(seconds(1.0));
+  EXPECT_TRUE(log.empty());
+  e.terminate_processes();
+  ASSERT_EQ(log.size(), 2U * kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(log[2 * r], 2 * r + 1);  // Inner frame first...
+    EXPECT_EQ(log[2 * r + 1], 2 * r);  // ...then the body's own local.
+  }
+}
+
+TEST(Process, TenThousandRankRingCompletesDeterministically) {
+  // Each rank sends right and receives from the left, three laps.  Ten
+  // thousand ranks would be ten thousand OS threads for a thread-backed
+  // engine; as fibers they are stacks that cost only what they touch.
+#if defined(__SANITIZE_THREAD__)
+  // TSAN models every fiber as one of its threads (a multi-MiB state
+  // each, at most 8128 live), so this scale is beyond it.
+  GTEST_SKIP() << "10,000 live fibers exceed ThreadSanitizer's thread limit";
+#endif
+  constexpr int kRanks = 10000;
+  constexpr int kLaps = 3;
+  struct Rank {
+    Process* proc = nullptr;
+    int inbox = 0;
+    bool waiting = false;
+  };
+  std::vector<Rank> ranks(kRanks);
+  std::uint64_t received = 0;
+  Engine e;
+  for (int r = 0; r < kRanks; ++r) {
+    ranks[r].proc = &e.spawn("rank" + std::to_string(r), [&, r](Process& p) {
+      Rank& self = ranks[r];
+      Rank& right = ranks[(r + 1) % kRanks];
+      for (int lap = 0; lap < kLaps; ++lap) {
+        p.delay(seconds(1e-6 * (1 + r % 7)));  // Uneven compute.
+        p.engine().schedule_after(seconds(5e-6), [&right] {
+          ++right.inbox;
+          if (right.waiting) {
+            right.waiting = false;
+            right.proc->wake();
+          }
+        });
+        while (self.inbox == 0) {
+          self.waiting = true;
+          p.block();
+        }
+        --self.inbox;
+        ++received;
+      }
+    });
+  }
+  e.run();
+  EXPECT_EQ(received, std::uint64_t{kRanks} * kLaps);
+  for (const Rank& r : ranks) EXPECT_TRUE(r.proc->finished());
+  EXPECT_EQ(e.order_hash(), 0x0aa71e7c88f7b6f9ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,20 +61,11 @@ struct RunResult {
   /// sim::Engine::order_hash).  Pure determinism probe: equal inputs must
   /// give equal hashes, for any sweep worker count and through the result
   /// cache — the regression tripwire for event-kernel changes.  Carries
-  /// no physics; plots and reports never read it.  Serial runs only —
-  /// the parallel engine has no defined global dispatch order, so a
-  /// parallel run reports 0 here and event_set_hash below instead.
+  /// no physics; plots and reports never read it.
   std::uint64_t event_order_hash = 0;
   /// Order-independent event fingerprint (sum of per-event time mixes,
-  /// see sim::Engine::event_set_hash).  Computed in BOTH engine modes:
-  /// a parallel run is accepted iff its set hash (and every physical
-  /// field) equals the serial oracle's.
+  /// see sim::Engine::event_set_hash).
   std::uint64_t event_set_hash = 0;
-  /// Engine-parallelism telemetry: partitions used (0 = serial path) and
-  /// synchronization windows executed.  Never cached or compared —
-  /// engine mode is not part of a run's identity.
-  std::size_t engine_partitions = 0;
-  std::uint64_t engine_windows = 0;
   std::uint64_t gear_switches = 0;  ///< DVFS transitions across all ranks.
   /// Seconds each rank spent at each *requested* gear (outer index rank,
   /// inner index gear; inner size == the cluster's gear count).  Covers
@@ -143,16 +134,9 @@ struct RunOptions {
   /// concurrent runs — exec::SweepRunner gives each point its own and
   /// merges the snapshots in request order.  See docs/OBSERVABILITY.md.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Worker threads for the conservative parallel engine (see docs/API.md
-  /// "Engine internals"): 0 = the GEARSIM_ENGINE_THREADS default (itself
-  /// 1 when unset), 1 = serial, >= 2 requests partitioned execution,
-  /// negative = hardware concurrency.  The parallel path is an
-  /// *optimization with a verification oracle*, never a semantic switch:
-  /// runs that it cannot reproduce exactly (policy runs, sampled power,
-  /// abort-mode crash plans, jittered networks,
-  /// attached metrics) fall back to serial silently, and every physical result field is
-  /// identical either way (event_order_hash, reported only by serial, is
-  /// the sole exception).
+  /// Must be 0 or 1 (anything else throws ContractError): every run is
+  /// serial.  The field stays so existing callers that pin it keep
+  /// compiling.
   int engine_threads = 0;
 };
 
@@ -216,13 +200,6 @@ class ExperimentRunner {
                               int jobs = 0) const;
 
  private:
-  /// The conservative-parallel-engine run path (options.engine_threads
-  /// >= 2 and the run is eligible; see run()).  Physically equivalent to
-  /// the serial path by construction — the determinism matrix test holds
-  /// it to byte-equality on every physical field.
-  RunResult run_parallel(const Workload& workload, int nodes,
-                         const RunOptions& options, int threads) const;
-
   ClusterConfig config_;
 };
 

@@ -21,10 +21,7 @@
 // the fault-free model (no fault RNG is ever constructed).  Loss draws are
 // keyed by *transfer identity* — (src, per-source transfer ordinal) forks
 // an independent stream off the plan seed — so a message's realization
-// does not depend on how transfers from other sources interleave.  That
-// makes lossy-link plans safe for the conservative parallel engine, whose
-// barrier replay preserves per-source transfer order but not the global
-// one (see cluster/experiment.cpp's eligibility gate).
+// does not depend on how transfers from other sources interleave.
 //
 // Topology mode: when NetworkParams::topology is not flat, the
 // NIC/backplane reservations above are replaced by per-link fair
@@ -35,9 +32,8 @@
 // flow then commits its own [inject, finish) interval so later transfers
 // see the contention it created.  Arrivals already returned are never
 // revised (re-sharing is applied to flows that arrive *after*, keeping
-// transfer() causal and its result a pure function of the call sequence
-// — the property the parallel engine's barrier replay relies on).  The
-// flat topology does not touch any of this code: it keeps the original
+// transfer() causal and its result a pure function of the call
+// sequence).  The flat topology does not touch any of this code: it keeps the original
 // reservation model byte for byte.
 #pragma once
 
@@ -127,23 +123,6 @@ class Network {
   /// Pure lower-bound transfer time with no contention (for tests/docs).
   [[nodiscard]] Seconds uncontended_time(Bytes bytes) const;
 
-  /// Minimum cross-node interaction delay, for conservative parallel
-  /// engine synchronization (sim::ParallelEngine): every transfer's
-  /// arrival is >= its injection time + this bound.  With jitter off,
-  /// transfer() adds at least the wire latency on top of non-decreasing
-  /// reservations, and link-fault windows only ever *increase* it
-  /// (latency_factor is validated >= 1, retransmit penalties are
-  /// non-negative).  In topology mode the bound is the minimum over all
-  /// routed paths: latency + hop_latency * (min path links - 1) —
-  /// fair-share transfer durations are non-negative, so every arrival
-  /// still clears it.  Multiplicative jitter can undercut the base
-  /// latency, so a jittered network returns zero — "no sound lookahead"
-  /// — and callers must fall back to serial execution.
-  [[nodiscard]] Seconds conservative_lookahead() const {
-    if (params_.latency_jitter > 0.0) return Seconds{};
-    return min_path_latency_;
-  }
-
   /// The routing structure, nullptr in flat mode (for tests/reports).
   [[nodiscard]] const Topology* topology() const { return topology_.get(); }
 
@@ -205,7 +184,6 @@ class Network {
   Seconds backplane_free_{};
   Rng jitter_rng_;
   std::unique_ptr<Topology> topology_;
-  Seconds min_path_latency_;
   std::vector<LinkSchedule> link_sched_;
   std::vector<LinkId> path_scratch_;
   std::vector<std::size_t> cursor_scratch_;

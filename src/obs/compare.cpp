@@ -16,6 +16,34 @@ std::string fmt(double v) {
   return buf;
 }
 
+/// The gate one baselined metric is checked against.  Absent fields
+/// default to an exact, two-sided gate.
+struct Gate {
+  double tol_rel = 0.0;
+  double tol_abs = 0.0;
+  std::string direction = "both";
+};
+
+Gate parse_gate(const json::Object& spec, const std::string& name) {
+  Gate gate;
+  if (json::find(spec, "tol_rel")) {
+    gate.tol_rel = json::field(spec, "tol_rel").as_double();
+  }
+  if (json::find(spec, "tol_abs")) {
+    gate.tol_abs = json::field(spec, "tol_abs").as_double();
+  }
+  if (json::find(spec, "direction")) {
+    gate.direction = json::field(spec, "direction").as_string();
+  }
+  GEARSIM_REQUIRE(gate.direction == "both" || gate.direction == "max" ||
+                      gate.direction == "min",
+                  "bad baseline direction for " + name + ": " +
+                      gate.direction);
+  GEARSIM_REQUIRE(gate.tol_rel >= 0.0 && gate.tol_abs >= 0.0,
+                  "negative tolerance for " + name);
+  return gate;
+}
+
 }  // namespace
 
 CompareReport compare_bench(std::string_view baseline_json,
@@ -43,21 +71,7 @@ CompareReport compare_bench(std::string_view baseline_json,
     MetricCheck check;
     check.name = name;
     check.baseline = json::field(spec, "value").as_double();
-    const double tol_rel =
-        json::find(spec, "tol_rel") ? json::field(spec, "tol_rel").as_double()
-                                    : 0.0;
-    const double tol_abs =
-        json::find(spec, "tol_abs") ? json::field(spec, "tol_abs").as_double()
-                                    : 0.0;
-    const std::string direction =
-        json::find(spec, "direction")
-            ? json::field(spec, "direction").as_string()
-            : "both";
-    GEARSIM_REQUIRE(direction == "both" || direction == "max" ||
-                        direction == "min",
-                    "bad baseline direction for " + name + ": " + direction);
-    GEARSIM_REQUIRE(tol_rel >= 0.0 && tol_abs >= 0.0,
-                    "negative tolerance for " + name);
+    const Gate gate = parse_gate(spec, name);
 
     const json::Value* got = json::find(actual, name);
     if (got == nullptr) {
@@ -68,7 +82,8 @@ CompareReport compare_bench(std::string_view baseline_json,
     }
     check.present = true;
     check.actual = got->as_double();
-    const double tol = tol_abs + tol_rel * std::abs(check.baseline);
+    const double tol = gate.tol_abs + gate.tol_rel * std::abs(check.baseline);
+    const std::string& direction = gate.direction;
     const double delta = check.actual - check.baseline;
     bool ok = true;
     if (direction == "both") {
@@ -116,26 +131,43 @@ std::string render_report(const CompareReport& report) {
   return out;
 }
 
-std::string baseline_from_result(std::string_view result_json,
-                                 double tol_rel) {
+std::string baseline_from_result(std::string_view result_json, double tol_rel,
+                                 std::string_view previous_baseline) {
   GEARSIM_REQUIRE(tol_rel >= 0.0, "negative tolerance");
   const json::Value root = json::parse(result_json);
   const json::Object& result = root.as_object();
   GEARSIM_REQUIRE(json::field(result, "schema").as_string() == kBenchSchema,
                   "not a bench result document");
+  const std::string& bench = json::field(result, "name").as_string();
+  json::Value previous_root;
+  const json::Object* previous = nullptr;
+  if (!previous_baseline.empty()) {
+    previous_root = json::parse(previous_baseline);
+    const json::Object& doc = previous_root.as_object();
+    GEARSIM_REQUIRE(json::field(doc, "schema").as_string() == kBaselineSchema,
+                    "not a bench baseline document");
+    GEARSIM_REQUIRE(json::field(doc, "name").as_string() == bench,
+                    "baseline/result bench name mismatch: " +
+                        json::field(doc, "name").as_string() + " vs " + bench);
+    previous = &json::field(doc, "metrics").as_object();
+  }
+  // New metrics get `tol_rel` plus an absolute floor so near-zero values
+  // (deltas, fractions) keep a usable band under a relative tolerance.
+  const Gate fresh{tol_rel, 1e-9, "both"};
   std::string out = "{\"schema\":" + json::jstr(kBaselineSchema) +
-                    ",\"name\":" +
-                    json::jstr(json::field(result, "name").as_string()) +
-                    ",\"metrics\":{";
+                    ",\"name\":" + json::jstr(bench) + ",\"metrics\":{";
   bool first = true;
   for (const auto& [name, v] : json::field(result, "metrics").as_object()) {
     if (!first) out += ',';
     first = false;
-    // Absolute floor so near-zero values (deltas, fractions) keep a
-    // usable band under a purely relative tolerance.
+    const json::Value* kept =
+        previous != nullptr ? json::find(*previous, name) : nullptr;
+    const Gate gate =
+        kept != nullptr ? parse_gate(kept->as_object(), name) : fresh;
     out += json::jstr(name) + ":{\"value\":" + json::jnum(v.as_double()) +
-           ",\"tol_rel\":" + json::jnum(tol_rel) +
-           ",\"tol_abs\":" + json::jnum(1e-9) + ",\"direction\":\"both\"}";
+           ",\"tol_rel\":" + json::jnum(gate.tol_rel) +
+           ",\"tol_abs\":" + json::jnum(gate.tol_abs) +
+           ",\"direction\":" + json::jstr(gate.direction) + "}";
   }
   out += "}}";
   return out;

@@ -62,11 +62,15 @@ struct CompareReport {
 /// Render a report as an aligned text table (one line per check).
 [[nodiscard]] std::string render_report(const CompareReport& report);
 
-/// Bless: derive a baseline document from a result document, giving every
-/// metric direction "both" and the given relative tolerance (plus a tiny
-/// absolute floor for values near zero).  Existing baselines are simply
-/// overwritten by the caller — blessing is an explicit, reviewed act.
-[[nodiscard]] std::string baseline_from_result(std::string_view result_json,
-                                               double tol_rel);
+/// Bless: derive a baseline document from a result document.  A metric
+/// already in `previous_baseline` (the baseline being replaced; empty if
+/// none) keeps its tol_rel, tol_abs and direction, so re-blessing never
+/// loosens an exact gate; a new metric gets direction "both", the given
+/// relative tolerance and a tiny absolute floor for values near zero.
+/// Metrics missing from the result are dropped.  The caller overwrites
+/// the old file — blessing is an explicit, reviewed act.
+[[nodiscard]] std::string baseline_from_result(
+    std::string_view result_json, double tol_rel,
+    std::string_view previous_baseline = {});
 
 }  // namespace gearsim::obs

@@ -98,7 +98,7 @@ struct ServiceOptions {
   bool preload = false;
   /// Worker threads per miss batch (exec::SweepOptions::jobs).
   int jobs = 0;
-  /// Engine threads per simulated point.
+  /// Forwarded to exec::SweepOptions::engine_threads (0 or 1).
   int engine_threads = 0;
   /// Extra attempts for transiently-failing points (supervisor
   /// max_attempts = 1 + retries).

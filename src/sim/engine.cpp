@@ -271,11 +271,7 @@ void Engine::terminate_processes() {
 void Engine::schedule_at(Seconds t, EventFn fn) {
   GEARSIM_REQUIRE(t >= now_, "event scheduled in the past");
   count_pool_path(fn.on_heap());
-  // The new event's pedigree: born now, by the event currently being
-  // dispatched, whose own birth and parent become the ancestor keys.
-  queue_.push(t, std::move(fn),
-              EventPedigree{now_, current_pedigree_.birth,
-                            current_pedigree_.parent});
+  queue_.push(t, std::move(fn));
   if (m_queue_high_water_ != nullptr) {
     m_queue_high_water_->set(static_cast<double>(queue_.size()));
   }
@@ -291,12 +287,6 @@ void Engine::schedule_batch(EventBatch& batch) {
     GEARSIM_REQUIRE(t >= now_, "event scheduled in the past");
     count_pool_path(on_heap);
   });
-  // Items without an explicit pedigree are being inserted *now*, by the
-  // event currently dispatching — stamp them so the (time, pedigree,
-  // seq) order sees their true insertion provenance (mailbox items from
-  // ParallelEngine carry their serial values already and keep them).
-  batch.fill_pedigrees(EventPedigree{now_, current_pedigree_.birth,
-                                     current_pedigree_.parent});
   queue_.push_batch(batch);
   if (m_queue_high_water_ != nullptr) {
     m_queue_high_water_->set(static_cast<double>(queue_.size()));
@@ -339,7 +329,6 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
 void Engine::dispatch_one() {
   EventQueue::Popped ev = queue_.pop();
   now_ = ev.time;
-  current_pedigree_ = ev.pedigree;
   ++events_executed_;
   // Dispatch-order fingerprint: the time identifies *when*, the insertion
   // seq identifies *which* of several simultaneous events ran — together
@@ -348,8 +337,7 @@ void Engine::dispatch_one() {
                                 std::bit_cast<std::uint64_t>(ev.time.value()));
   order_hash_ = util::fnv1a_mix(order_hash_, ev.seq);
   // Order-independent companion: a commutative (wrapping-sum) fold over
-  // per-event time hashes, so repartitioning the same events across
-  // ParallelEngine partitions leaves it unchanged.
+  // per-event time hashes.
   event_set_hash_ += util::fnv1a_mix(
       util::kFnv1aOffset, std::bit_cast<std::uint64_t>(ev.time.value()));
   if (m_events_ != nullptr) m_events_->add();
@@ -373,38 +361,46 @@ void Engine::check_deadlock() const {
   }
 }
 
-void Engine::run() {
-  GEARSIM_REQUIRE(!running_, "Engine::run is not reentrant");
-  running_ = true;
-  while (!queue_.empty()) {
-    dispatch_one();
-    rethrow_process_error();
+namespace {
+
+/// Marks an engine as running for one run loop and clears the mark on
+/// every exit, including an exception escaping a body or an event, so the
+/// engine stays reusable after a failed run.
+class RunningScope {
+ public:
+  explicit RunningScope(bool& running) : running_(running) {
+    GEARSIM_REQUIRE(!running_, "Engine::run is not reentrant");
+    running_ = true;
   }
-  running_ = false;
+  RunningScope(const RunningScope&) = delete;
+  RunningScope& operator=(const RunningScope&) = delete;
+  ~RunningScope() { running_ = false; }
+
+ private:
+  bool& running_;
+};
+
+}  // namespace
+
+void Engine::run() {
+  {
+    const RunningScope scope(running_);
+    while (!queue_.empty()) {
+      dispatch_one();
+      rethrow_process_error();
+    }
+  }
   check_deadlock();
 }
 
-std::uint64_t Engine::run_window(Seconds horizon) {
-  GEARSIM_REQUIRE(!running_, "Engine::run is not reentrant");
-  running_ = true;
-  std::uint64_t dispatched = 0;
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    dispatch_one();
-    ++dispatched;
-    rethrow_process_error();
-  }
-  running_ = false;
-  return dispatched;
-}
-
 void Engine::run_until(Seconds t) {
-  GEARSIM_REQUIRE(!running_, "Engine::run is not reentrant");
-  running_ = true;
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    dispatch_one();
-    rethrow_process_error();
+  {
+    const RunningScope scope(running_);
+    while (!queue_.empty() && queue_.next_time() <= t) {
+      dispatch_one();
+      rethrow_process_error();
+    }
   }
-  running_ = false;
   if (now_ < t && queue_.empty()) now_ = t;
 }
 

@@ -8,9 +8,7 @@
 // on whichever thread calls resume(): control passes by a user-space
 // context switch, not an OS-thread handoff, so exactly one body executes
 // per engine at any instant, no simulation state needs locking and every
-// run is deterministic.  A body must hold no thread-local state across a
-// yield (delay/block): under ParallelEngine the next resume may come from
-// another worker thread.
+// run is deterministic.
 //
 // Processes let workload skeletons be written as ordinary blocking code
 // (compute / mpi.send / mpi.recv ...), mirroring how real MPI programs
@@ -33,7 +31,6 @@
 namespace gearsim::sim {
 
 class Engine;
-class ParallelEngine;
 
 /// A cooperative simulation process.  Created via Engine::spawn; the body
 /// receives a reference to its Process and may call delay() / block().
@@ -110,18 +107,6 @@ class Engine {
 
   [[nodiscard]] Seconds now() const { return now_; }
 
-  /// Pedigree of the event currently being dispatched: the simulated
-  /// instant it was inserted into the queue, plus its parent's and
-  /// grandparent's births (all zero outside dispatch).  In a serial run
-  /// the global insertion sequence is monotone in the pedigree, so for
-  /// simultaneous events pedigree order *is* serial dispatch order — the
-  /// MPI layer records it for deferred cross-partition transfers so the
-  /// window barrier can replay the serial reservation order exactly
-  /// (see mpi::World::apply_deferred_transfers).
-  [[nodiscard]] const EventPedigree& current_event_pedigree() const {
-    return current_pedigree_;
-  }
-
   /// Schedule `fn` at absolute simulated time `t >= now()`.
   void schedule_at(Seconds t, EventFn fn);
   /// Schedule `fn` after a non-negative delay.
@@ -152,14 +137,6 @@ class Engine {
   /// Run until simulated time would exceed `t`; pending events at later
   /// times remain queued.
   void run_until(Seconds t);
-
-  /// Dispatch every pending event with time strictly below `horizon`;
-  /// later events stay queued and now() is left at the last dispatched
-  /// event.  This is one conservative time window: ParallelEngine runs
-  /// disjoint partitions' windows concurrently, with `horizon` chosen so
-  /// no partition can receive a cross-partition event below it.  Returns
-  /// the number of events dispatched.
-  std::uint64_t run_window(Seconds horizon);
 
   /// True when events are pending; next_event_time() is the earliest
   /// pending time (precondition: has_pending()).  May reorganize queue
@@ -195,20 +172,11 @@ class Engine {
 
   /// Order-independent fingerprint of the dispatched-event *multiset*:
   /// every executed event contributes fnv1a(time) by wrapping addition,
-  /// so the value is invariant under any reordering or repartitioning of
-  /// the same events.  A parallel run over P partitions and the serial
-  /// oracle execute the same physical events iff their set hashes match
-  /// (a probabilistic probe, like order_hash — collisions are possible
-  /// but never systematic).  Sequence numbers are deliberately excluded:
-  /// they are an artifact of per-queue insertion order, which legitimately
-  /// differs across partition counts.
+  /// so the value depends on which event times ran, not on their order.
+  /// Part of the result JSON (RunResult::event_set_hash).
   [[nodiscard]] std::uint64_t event_set_hash() const {
     return event_set_hash_;
   }
-
-  /// Partition index when this engine is one partition of a
-  /// ParallelEngine; 0 for a standalone serial engine.
-  [[nodiscard]] std::size_t partition_id() const { return partition_id_; }
 
   /// Events whose capture fit EventFn's inline buffer (the fast path).
   [[nodiscard]] std::uint64_t pool_inline_events() const {
@@ -229,7 +197,6 @@ class Engine {
 
  private:
   friend class Process;
-  friend class ParallelEngine;
   void dispatch_one();
   void count_pool_path(bool on_heap);
   void check_deadlock() const;
@@ -243,12 +210,10 @@ class Engine {
 
   EventQueue queue_;
   Seconds now_{0.0};
-  EventPedigree current_pedigree_{};
   std::vector<std::unique_ptr<Process>> processes_;
   std::uint64_t events_executed_ = 0;
   std::uint64_t order_hash_ = util::kFnv1aOffset;
   std::uint64_t event_set_hash_ = 0;
-  std::size_t partition_id_ = 0;
   std::uint64_t pool_inline_events_ = 0;
   std::uint64_t pool_fallback_allocs_ = 0;
   bool running_ = false;

@@ -1,28 +1,10 @@
 // Event queue for the discrete-event kernel.
 //
 // Dispatch order is a hard contract: events fire in strict
-// (time, pedigree, insertion sequence) order — earlier times first, ties
-// broken by the event's *pedigree* (its birth — the simulated instant it
-// was inserted at — then its parent's birth, then its grandparent's),
-// then FIFO — which keeps the whole simulation deterministic.  For a
-// serially-filled queue the pedigree tiebreaks are vacuous: insertions
-// happen while simulated time advances monotonically, so birth is
-// non-decreasing in seq; among equal-birth events the inserting parents
-// dispatched in seq order at the birth instant, which (applying the same
-// argument one level up) makes parent birth non-decreasing too, and
-// likewise grandparent birth — (time, pedigree, seq) orders exactly like
-// (time, seq), and the golden order hashes in sim_test pin that
-// equivalence across kernel rewrites.  (The depth must be *fixed*:
-// inheriting an ancestor's tiebreak through same-instant chains is NOT
-// monotone in seq and would reorder serial dispatch.)  The pedigree earns
-// its keep under ParallelEngine: an event posted across partitions is
-// physically inserted at a window barrier (late, large seq) but carries
-// the pedigree its serial twin would have had, so it dispatches in the
-// serial-equivalent position among simultaneous events even when two
-// partitions insert at the exact same instant — lock-step codes like
-// LU's wavefront do this constantly, with same-instant causal chains two
-// hops deep (delivery → wake → post-overhead send), which is exactly
-// what the three-level pedigree distinguishes.
+// (time, insertion sequence) order — earlier times first, FIFO among
+// simultaneous events — which keeps the whole simulation deterministic.
+// The golden order hashes in sim_test pin this order across kernel
+// rewrites.
 //
 // Layout, chosen for the hot path (a 32-node NAS sweep pushes and pops
 // millions of events):
@@ -31,7 +13,7 @@
 //     are appended unsorted into fixed-width time bands (one vector per
 //     band) — an O(1) append with no comparisons.  Pops drain `current_`,
 //     a sorted array holding only the earliest band; when it empties the
-//     next non-empty band is sorted (a few hundred contiguous 40-byte
+//     next non-empty band is sorted (a few hundred contiguous 16-byte
 //     keys, cache-resident) and becomes current.  A comparison heap was
 //     built and measured first: at depth 1e5 its sift path is memory-
 //     latency-bound (~8 dependent cache misses per pop, even with 4-ary
@@ -41,13 +23,12 @@
 //   * Ordering is boundary-proof: a band is assigned by a monotone
 //     floor((t - base)/width) for one fixed (base, width) per epoch, so
 //     bands partition time monotonically; each band is sorted by
-//     (time, pedigree, seq) before dispatch; events landing below the
+//     (time, seq) before dispatch; events landing below the
 //     active band are insertion-sorted into `current_`.  Bucket
 //     boundaries therefore affect performance only, never order.
 //   * Callables live in a slot pool (vector + free list) reused across
-//     events; keys carry the 40-byte (time, pedigree,
-//     seq·2^24 | slot) tuple.  After warm-up, push/pop churn allocates
-//     nothing (see
+//     events; keys carry only the 16-byte (time, seq·2^24 | slot) pair.
+//     After warm-up, push/pop churn allocates nothing (see
 //     bench/microbench_engine's allocs-per-event gate) and EventFn's
 //     small-buffer optimization keeps captures out of the heap entirely.
 //
@@ -62,7 +43,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -84,33 +64,6 @@ inline void validate_event_time(Seconds time) {
                   "event time must be finite and non-negative");
 }
 
-/// The causal provenance of an event, used as the dispatch tiebreak
-/// between `time` and the FIFO sequence (see the file header): the
-/// simulated instant the event was inserted at, its inserting (parent)
-/// event's birth, and that event's parent's birth.  In serial execution
-/// all three are monotone in insertion order, so they never change the
-/// serial dispatch order; under ParallelEngine a cross-partition event
-/// carries the pedigree its serial twin would have had, which places it
-/// in the serial-equivalent position among simultaneous events.
-struct EventPedigree {
-  Seconds birth{0.0};
-  Seconds parent{0.0};
-  Seconds grandparent{0.0};
-};
-
-/// Pedigree validity: finite, non-negative, and causally ordered — an
-/// ancestor is born no later than its descendant, and an event is born
-/// no later than it fires.
-inline void validate_event_pedigree(const EventPedigree& p, Seconds time) {
-  validate_event_time(p.birth);
-  validate_event_time(p.parent);
-  validate_event_time(p.grandparent);
-  GEARSIM_REQUIRE(p.birth <= time, "event birth after its scheduled time");
-  GEARSIM_REQUIRE(p.parent <= p.birth, "parent born after the event");
-  GEARSIM_REQUIRE(p.grandparent <= p.parent,
-                  "grandparent born after the parent");
-}
-
 /// A group of events submitted with one queue operation.  Callers that
 /// create several events in one instant (an MPI delivery waking both the
 /// receiver and a rendezvous sender, the fault layer arming a crash
@@ -122,30 +75,7 @@ class EventBatch {
  public:
   void add(Seconds time, EventFn fn) {
     validate_event_time(time);
-    items_.push_back(Item{time, kUnsetPedigree, std::move(fn)});
-  }
-
-  /// Add with an explicit pedigree — the provenance the event's serial
-  /// twin would have had.  ParallelEngine's mailbox lanes use this so a
-  /// cross-partition event, though physically queued at a window
-  /// barrier, dispatches in its serial-equivalent position among
-  /// simultaneous events.  Ordinary callers use the two-argument add():
-  /// their pedigree is resolved to the submitting engine's dispatch
-  /// state (see Engine::schedule_batch / fill_pedigrees).
-  void add(Seconds time, EventFn fn, const EventPedigree& pedigree) {
-    validate_event_time(time);
-    validate_event_pedigree(pedigree, time);
-    items_.push_back(Item{time, pedigree, std::move(fn)});
-  }
-
-  /// Resolve every unset pedigree (two-argument add) to `p` — the
-  /// submitting engine's current dispatch state, the items' actual
-  /// insertion provenance.  Items added with an explicit pedigree keep
-  /// it.
-  void fill_pedigrees(const EventPedigree& p) {
-    for (Item& item : items_) {
-      if (std::isnan(item.pedigree.birth.value())) item.pedigree = p;
-    }
+    items_.push_back(Item{time, std::move(fn)});
   }
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
@@ -163,17 +93,8 @@ class EventBatch {
 
  private:
   friend class EventQueue;
-  /// Sentinel for "pedigree not yet resolved" (filled at submission).
-  /// NaN never survives to EventQueue::push — fill_pedigrees or the
-  /// queue's own default replaces it — so the dispatch order never sees
-  /// it.
-  static constexpr EventPedigree kUnsetPedigree{
-      Seconds{std::numeric_limits<double>::quiet_NaN()},
-      Seconds{std::numeric_limits<double>::quiet_NaN()},
-      Seconds{std::numeric_limits<double>::quiet_NaN()}};
   struct Item {
     Seconds time;
-    EventPedigree pedigree;
     EventFn fn;
   };
   std::vector<Item> items_;
@@ -187,36 +108,24 @@ class EventQueue {
   /// pop did exactly that).
   struct Popped {
     Seconds time;
-    EventPedigree pedigree;
     std::uint64_t seq = 0;
     EventFn fn;
   };
 
-  /// `pedigree` is the event's insertion provenance (the engine passes
-  /// its dispatch state); it is the sort key after `time`, before the
-  /// FIFO sequence.  Queue-direct callers may omit it — a constant
-  /// pedigree degenerates the order to the classic (time, seq).
-  void push(Seconds time, EventFn fn, const EventPedigree& pedigree = {}) {
+  void push(Seconds time, EventFn fn) {
     validate(time);
-    validate_event_pedigree(pedigree, time);
     GEARSIM_REQUIRE(next_seq_ < (std::uint64_t{1} << kSeqBits),
                     "event sequence space exhausted");
     const std::uint32_t slot = acquire_slot(std::move(fn));
-    place(Key{time, pedigree, (next_seq_++ << kSlotBits) | slot});
+    place(Key{time, (next_seq_++ << kSlotBits) | slot});
   }
 
   /// Submit every event of `batch` with one call; sequence numbers are
   /// assigned in submission order.  Drains the batch but keeps its
   /// capacity, so callers on the hot path can reuse one instance.
-  /// Pedigrees the submitter left unresolved default to all-zero
-  /// (queue-direct use); Engine::schedule_batch resolves them to its
-  /// dispatch state first.
   void push_batch(EventBatch& batch) {
     for (EventBatch::Item& item : batch.items_) {
-      const EventPedigree pedigree =
-          std::isnan(item.pedigree.birth.value()) ? EventPedigree{}
-                                                  : item.pedigree;
-      push(item.time, std::move(item.fn), pedigree);
+      push(item.time, std::move(item.fn));
     }
     batch.clear();
   }
@@ -244,7 +153,7 @@ class EventQueue {
       // start the (likely) cache miss now, under this event's execution.
       __builtin_prefetch(&pool_[current_.back().slot()]);
     }
-    Popped out{k.time, k.pedigree, k.seq(), std::move(pool_[k.slot()])};
+    Popped out{k.time, k.seq(), std::move(pool_[k.slot()])};
     free_slots_.push_back(k.slot());
     return out;
   }
@@ -286,14 +195,11 @@ class EventQueue {
   static constexpr std::uint64_t kSlotMask =
       (std::uint64_t{1} << kSlotBits) - 1;
 
-  /// 40-byte key: the pool slot rides in the low bits of the sequence
+  /// 16-byte key: the pool slot rides in the low bits of the sequence
   /// word, so comparing `tag` compares insertion order (slots only
-  /// differ when sequences do).  The pedigree sits between time and tag
-  /// in the order; for a serially-filled queue it is monotone in tag, so
-  /// it never changes the serial dispatch order (see the file header).
+  /// differ when sequences do).
   struct Key {
     Seconds time;
-    EventPedigree pedigree;
     std::uint64_t tag;
 
     [[nodiscard]] std::uint64_t seq() const { return tag >> kSlotBits; }
@@ -301,18 +207,10 @@ class EventQueue {
       return static_cast<std::uint32_t>(tag & kSlotMask);
     }
   };
+  static_assert(sizeof(Key) == 16, "queue keys stay two words");
 
   static bool earlier(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
-    if (a.pedigree.birth != b.pedigree.birth) {
-      return a.pedigree.birth < b.pedigree.birth;
-    }
-    if (a.pedigree.parent != b.pedigree.parent) {
-      return a.pedigree.parent < b.pedigree.parent;
-    }
-    if (a.pedigree.grandparent != b.pedigree.grandparent) {
-      return a.pedigree.grandparent < b.pedigree.grandparent;
-    }
     return a.tag < b.tag;
   }
   /// current_ is sorted descending so the earliest key is at the back.

@@ -283,46 +283,26 @@ TEST(Runner, PolicyModalTieBreaksTowardFasterGear) {
   EXPECT_EQ(r.gear_max_index, 4u);
 }
 
-// --- conservative parallel engine: serial-oracle equivalence -----------------
+// --- rerun equality across fault plans, topologies and send modes --------
 
-/// Every physical field of a parallel run must equal the serial oracle's
-/// exactly (the parallel path is an optimization, not a model change).
-/// event_order_hash is serial-only by contract; event_set_hash is the
-/// cross-mode probe.
-void expect_matches_serial(const RunResult& serial, const RunResult& parallel,
-                           const std::string& label) {
+/// Two runs of the same inputs must agree byte for byte on every cached
+/// field (exec::to_json covers all of them, the order hash included).
+void expect_rerun_identical(const ExperimentRunner& runner,
+                            const Workload& workload, int nodes,
+                            const RunOptions& options,
+                            const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(serial.wall.value(), parallel.wall.value());
-  EXPECT_EQ(serial.energy.value(), parallel.energy.value());
-  EXPECT_EQ(serial.active_energy.value(), parallel.active_energy.value());
-  EXPECT_EQ(serial.idle_energy.value(), parallel.idle_energy.value());
-  EXPECT_EQ(serial.mpi_calls, parallel.mpi_calls);
-  EXPECT_EQ(serial.messages, parallel.messages);
-  EXPECT_EQ(serial.net_bytes, parallel.net_bytes);
-  EXPECT_EQ(serial.event_set_hash, parallel.event_set_hash);
-  EXPECT_NE(serial.event_order_hash, 0u);
-  EXPECT_EQ(parallel.event_order_hash, 0u);
-  EXPECT_EQ(serial.engine_partitions, 0u);
-  // A fallback-to-serial run would pass the equalities vacuously; require
-  // that the partitioned path actually executed.
-  EXPECT_GE(parallel.engine_partitions, 2u);
-  EXPECT_GE(parallel.engine_windows, 1u);
-  ASSERT_EQ(serial.node_energy.size(), parallel.node_energy.size());
-  for (std::size_t i = 0; i < serial.node_energy.size(); ++i) {
-    EXPECT_EQ(serial.node_energy[i].total.value(),
-              parallel.node_energy[i].total.value());
-  }
+  const RunResult first = runner.run(workload, nodes, options);
+  const RunResult second = runner.run(workload, nodes, options);
+  EXPECT_NE(first.event_order_hash, 0u);
+  EXPECT_EQ(exec::to_json(first), exec::to_json(second));
 }
 
-TEST(Runner, ParallelEngineMatrixMatchesSerialOracle) {
-  // Workloads x fault plans x engine threads {1, 2, 8}: the full
-  // determinism matrix from the engine's acceptance contract.  Fault
-  // plans cover the parallel-eligible space: fault-free, deterministic
-  // straggler windows, a compose-mode crash + checkpointing plan, and a
-  // lossy-link plan — loss draws are keyed by transfer identity, so the
-  // barrier replay realizes the same losses as serial dispatch.
-  // (Abort-mode crashes still fall back to serial; see
-  // ParallelEngineFallsBackToSerialWhenUnsound below.)
+TEST(Runner, FaultPlanMatrixRerunsAreIdentical) {
+  // Workloads x fault plans: fault-free, deterministic straggler
+  // windows, a compose-mode crash + checkpointing plan, an abort-mode
+  // crash and a lossy-link plan, whose loss draws are keyed by transfer
+  // identity.
   const ExperimentRunner runner(athlon_cluster());
 
   faults::FaultPlan stragglers;
@@ -333,6 +313,9 @@ TEST(Runner, ParallelEngineMatrixMatchesSerialOracle) {
   faults::CheckpointConfig ckpt;
   ckpt.interval = seconds(2.0);
   compose.with_checkpointing(ckpt).crash(1, seconds(3.0));
+
+  faults::FaultPlan abort;
+  abort.crash(1, seconds(0.5));
 
   faults::FaultPlan links(11);
   net::LinkFaultWindow lossy;
@@ -345,6 +328,7 @@ TEST(Runner, ParallelEngineMatrixMatchesSerialOracle) {
       {{"faults=none", nullptr},
        {"faults=stragglers", &stragglers},
        {"faults=compose", &compose},
+       {"faults=abort", &abort},
        {"faults=links", &links}};
 
   for (const char* const name : {"Jacobi", "CG", "EP", "LU", "BT"}) {
@@ -353,23 +337,19 @@ TEST(Runner, ParallelEngineMatrixMatchesSerialOracle) {
       RunOptions options;
       options.gear_index = 2;
       options.faults = plan;
-      options.engine_threads = 1;
-      const RunResult serial = runner.run(*workload, 4, options);
-      for (const int threads : {2, 8}) {
-        options.engine_threads = threads;
-        const RunResult parallel = runner.run(*workload, 4, options);
-        expect_matches_serial(serial, parallel,
-                              std::string(name) + " " + plan_label +
-                                  " threads=" + std::to_string(threads));
-      }
+      expect_rerun_identical(runner, *workload, 4, options,
+                             std::string(name) + " " + plan_label);
     }
   }
+  // The lossy plan really exercises the retransmit path.
+  RunOptions options;
+  options.faults = &links;
+  EXPECT_GT(runner.run(workloads::Jacobi(), 4, options).retransmissions, 0u);
 }
 
-TEST(Runner, ParallelEngineMatchesSerialUnderRoutedTopologies) {
-  // Topology leg of the determinism matrix: fair-share contention is a
-  // pure function of the transfer call sequence, so the barrier replay
-  // must drive the link schedules to the exact serial realization.
+TEST(Runner, RoutedTopologyRerunsAreIdentical) {
+  // Fair-share contention is a pure function of the transfer call
+  // sequence, so reruns drive the link schedules to the same state.
   const std::vector<std::string> specs = {"fat-tree:2,2:1,1:1,1",
                                           "torus:4x4",
                                           "fat-tree:2,2:1,1:1,1:trunk_bw=2e6"};
@@ -378,100 +358,35 @@ TEST(Runner, ParallelEngineMatchesSerialUnderRoutedTopologies) {
     install_topology(&config, net::parse_topology(spec));
     const ExperimentRunner runner(config);
     for (const char* const name : {"Jacobi", "CG"}) {
-      const auto workload = workloads::make_workload(name);
       RunOptions options;
       options.gear_index = 2;
-      options.engine_threads = 1;
-      const RunResult serial = runner.run(*workload, 4, options);
-      for (const int threads : {2, 8}) {
-        options.engine_threads = threads;
-        const RunResult parallel = runner.run(*workload, 4, options);
-        expect_matches_serial(serial, parallel,
-                              spec + " " + name + " threads=" +
-                                  std::to_string(threads));
-      }
+      expect_rerun_identical(runner, *workloads::make_workload(name), 4,
+                             options, spec + " " + name);
     }
   }
 }
 
-TEST(Runner, ParallelEngineMatchesSerialAt256Ranks) {
-  // The acceptance-scale case: >= 4 worker threads over >= 256 simulated
-  // ranks reproduce the serial oracle exactly.  A trimmed Jacobi keeps
-  // 257 runs of physics inside the test budget.
+TEST(Runner, RendezvousRerunsAreIdentical) {
+  // Every message above a zero eager threshold goes rendezvous: the
+  // receiver's match wakes the blocked sender.
   ClusterConfig config = athlon_cluster();
-  config.max_nodes = 256;
+  config.mpi.eager_threshold = 0;
   const ExperimentRunner runner(config);
-  workloads::Jacobi::Params params;
-  params.iterations = 4;
-  const workloads::Jacobi jacobi(params);
-
-  RunOptions options;
-  options.engine_threads = 1;
-  const RunResult serial = runner.run(jacobi, 256, options);
-  options.engine_threads = 4;
-  const RunResult parallel = runner.run(jacobi, 256, options);
-  expect_matches_serial(serial, parallel, "Jacobi 256 ranks, 4 threads");
-  EXPECT_EQ(parallel.engine_partitions, 4u);
+  expect_rerun_identical(runner, workloads::Jacobi(), 4, RunOptions{},
+                         "Jacobi, all rendezvous");
 }
 
-TEST(Runner, ParallelEngineFallsBackToSerialWhenUnsound) {
-  // Configurations the parallel engine cannot reproduce exactly must run
-  // serial (engine_partitions == 0, order hash reported) even when
-  // engine_threads asks for partitioning.
+TEST(Runner, EngineThreadsAcceptsOnlyZeroOrOne) {
+  const ExperimentRunner runner(athlon_cluster());
   const workloads::Jacobi jacobi;
-
-  // Lossy-link plans no longer force a fallback: loss draws are keyed
-  // by (src, per-source ordinal), so the partitioned path both engages
-  // and reproduces the serial realization (with actual retransmissions).
-  {
-    const ExperimentRunner runner(athlon_cluster());
-    faults::FaultPlan links(17);
-    net::LinkFaultWindow w;
-    w.from = seconds(0.0);
-    w.until = seconds(1.0);
-    w.loss_probability = 0.5;
-    links.degrade_link(w);
-    RunOptions options;
-    options.engine_threads = 1;
-    options.faults = &links;
-    const RunResult serial = runner.run(jacobi, 4, options);
-    options.engine_threads = 8;
-    const RunResult parallel = runner.run(jacobi, 4, options);
-    EXPECT_GT(serial.retransmissions, 0u);
-    EXPECT_EQ(serial.retransmissions, parallel.retransmissions);
-    expect_matches_serial(serial, parallel, "lossy links, 8 threads");
-  }
-  // Jittered networks: no sound lookahead.
-  {
-    const ExperimentRunner runner(xeon_cluster());
-    RunOptions options;
-    options.engine_threads = 8;
-    const RunResult r = runner.run(jacobi, 4, options);
-    EXPECT_EQ(r.engine_partitions, 0u);
-  }
-  // Single node: nothing to partition.
-  {
-    const ExperimentRunner runner(athlon_cluster());
-    RunOptions options;
-    options.engine_threads = 8;
-    const RunResult r = runner.run(jacobi, 1, options);
-    EXPECT_EQ(r.engine_partitions, 0u);
-  }
-  // Cross-partition rendezvous sends are only discoverable mid-run: the
-  // parallel attempt aborts with ParallelUnsupportedError and the runner
-  // reruns serially, so the result still matches a serial-pinned run
-  // field for field.
-  {
-    ClusterConfig config = athlon_cluster();
-    config.mpi.eager_threshold = 0;  // Every message goes rendezvous.
-    const ExperimentRunner runner(config);
-    RunOptions options;
-    options.engine_threads = 1;
-    const RunResult serial = runner.run(jacobi, 4, options);
-    options.engine_threads = 8;
-    const RunResult fallback = runner.run(jacobi, 4, options);
-    EXPECT_EQ(fallback.engine_partitions, 0u);
-    EXPECT_EQ(exec::to_json(serial), exec::to_json(fallback));
+  RunOptions options;
+  options.engine_threads = 0;
+  const RunResult unset = runner.run(jacobi, 4, options);
+  options.engine_threads = 1;
+  EXPECT_EQ(exec::to_json(unset), exec::to_json(runner.run(jacobi, 4, options)));
+  for (const int threads : {2, -1}) {
+    options.engine_threads = threads;
+    EXPECT_THROW(runner.run(jacobi, 4, options), ContractError) << threads;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "workloads/jacobi.hpp"
 
 namespace gearsim::obs {
@@ -204,6 +205,47 @@ TEST(CompareBenchTest, PassesWithinToleranceAndGatesRegressions) {
   EXPECT_NE(render_report(slow).find("REGRESSION"), std::string::npos);
 }
 
+TEST(CompareBenchTest, ReblessKeepsExistingGatesAndDropsGoneMetrics) {
+  // energy_j is gated exactly and one-sided; time_s has its own band.
+  const std::string previous =
+      "{\"schema\":\"gearsim-bench-baseline/1\",\"name\":\"demo\","
+      "\"metrics\":{\"energy_j\":{\"value\":4.0,\"tol_rel\":0,"
+      "\"tol_abs\":0,\"direction\":\"max\"},"
+      "\"time_s\":{\"value\":9.0,\"tol_rel\":0.1},"
+      "\"gone\":{\"value\":1.0,\"tol_rel\":0}}}";
+  const std::string result =
+      "{\"schema\":\"gearsim-bench/1\",\"name\":\"demo\",\"info\":{},"
+      "\"metrics\":{\"energy_j\":5.0,\"fresh\":2.0,\"time_s\":10.0},"
+      "\"wall\":{\"seconds\":1.0,\"metrics\":{}}}";
+  const std::string blessed = baseline_from_result(result, 0.02, previous);
+  const json::Value root = json::parse(blessed);
+  const json::Object& metrics =
+      json::field(root.as_object(), "metrics").as_object();
+  EXPECT_EQ(json::find(metrics, "gone"), nullptr);
+
+  const json::Object& energy = json::field(metrics, "energy_j").as_object();
+  EXPECT_EQ(json::field(energy, "value").as_double(), 5.0);
+  EXPECT_EQ(json::field(energy, "tol_rel").as_double(), 0.0);
+  EXPECT_EQ(json::field(energy, "tol_abs").as_double(), 0.0);
+  EXPECT_EQ(json::field(energy, "direction").as_string(), "max");
+
+  // Absent fields keep their compare-time meaning: tol_abs 0, "both".
+  const json::Object& time = json::field(metrics, "time_s").as_object();
+  EXPECT_EQ(json::field(time, "tol_rel").as_double(), 0.1);
+  EXPECT_EQ(json::field(time, "tol_abs").as_double(), 0.0);
+  EXPECT_EQ(json::field(time, "direction").as_string(), "both");
+
+  const json::Object& fresh = json::field(metrics, "fresh").as_object();
+  EXPECT_EQ(json::field(fresh, "tol_rel").as_double(), 0.02);
+  EXPECT_EQ(json::field(fresh, "direction").as_string(), "both");
+
+  // A baseline of another bench is not a valid previous baseline.
+  const std::string other =
+      "{\"schema\":\"gearsim-bench-baseline/1\",\"name\":\"other\","
+      "\"metrics\":{}}";
+  EXPECT_THROW((void)baseline_from_result(result, 0.02, other), ContractError);
+}
+
 TEST(CompareBenchTest, MissingBaselinedMetricFails) {
   const std::string baseline = baseline_from_result(result_doc(10.0, 5.0),
                                                     0.02);
@@ -260,18 +302,9 @@ TEST(ObsDeterminismTest, RunResultUnchangedByInstrumentation) {
   cluster::ExperimentRunner runner(cluster::athlon_cluster());
   const workloads::Jacobi jacobi;
 
-  // An attached registry is deliberately unsynchronized (see
-  // obs/metrics.hpp), so instrumented runs always take the serial engine
-  // — pin the baseline to the same mode so the comparison is
-  // field-for-field even under an ambient GEARSIM_ENGINE_THREADS (the
-  // serial-only event_order_hash would otherwise legitimately differ;
-  // parallel-vs-serial physics is pinned by the cluster_test matrix).
-  cluster::RunOptions serial;
-  serial.engine_threads = 1;
-  const cluster::RunResult plain = runner.run(jacobi, 4, serial);
+  const cluster::RunResult plain = runner.run(jacobi, 4, 0);
   MetricsRegistry reg(true);
   cluster::RunOptions options;
-  options.engine_threads = 1;
   options.metrics = &reg;
   const cluster::RunResult instrumented = runner.run(jacobi, 4, options);
   // The metrics side channel never perturbs the measurement record.

@@ -197,6 +197,30 @@ TEST(Engine, ProcessExceptionPropagates) {
   EXPECT_THROW(e.run(), std::runtime_error);
 }
 
+TEST(Engine, IsReusableAfterAnExceptionEscapesRun) {
+  // A failed run must not leave the engine marked as running: the next
+  // run() on the same engine dispatches normally.
+  Engine e;
+  e.spawn("boom", [](Process& p) {
+    p.delay(seconds(1.0));
+    throw std::runtime_error("kaboom");
+  });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  bool fired = false;
+  e.schedule_at(seconds(2.0), [&] { fired = true; });
+  e.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(e.now(), seconds(2.0));
+
+  // Same for run_until, with the exception thrown by a plain event.
+  e.schedule_at(seconds(3.0), [] { throw std::runtime_error("event"); });
+  EXPECT_THROW(e.run_until(seconds(4.0)), std::runtime_error);
+  fired = false;
+  e.schedule_at(seconds(5.0), [&] { fired = true; });
+  e.run_until(seconds(6.0));
+  EXPECT_TRUE(fired);
+}
+
 TEST(Engine, ManyProcessesFinish) {
   Engine e;
   int finished = 0;
@@ -484,19 +508,6 @@ std::unique_ptr<cluster::Workload> make_nas(const std::string& name) {
   return std::make_unique<workloads::NasBt>();
 }
 
-/// A serial-engine run at `gear`: the golden order hashes fingerprint
-/// the global dispatch order, which only the serial engine defines, so
-/// these tests pin engine_threads = 1 against any GEARSIM_ENGINE_THREADS
-/// ambient setting (the CI engine-threads matrix leg runs with 4).
-cluster::RunResult run_serial(const cluster::ExperimentRunner& runner,
-                              const cluster::Workload& wl, int nodes,
-                              std::size_t gear) {
-  cluster::RunOptions options;
-  options.gear_index = gear;
-  options.engine_threads = 1;
-  return runner.run(wl, nodes, options);
-}
-
 TEST(EngineDeterminism, GoldenEventOrderHashes) {
   const cluster::ExperimentRunner runner(cluster::athlon_cluster());
   const std::vector<GoldenCase> goldens = {
@@ -511,7 +522,7 @@ TEST(EngineDeterminism, GoldenEventOrderHashes) {
   };
   for (const GoldenCase& g : goldens) {
     const auto wl = make_nas(g.name);
-    const cluster::RunResult r = run_serial(runner, *wl, g.nodes, g.gear);
+    const cluster::RunResult r = runner.run(*wl, g.nodes, g.gear);
     EXPECT_EQ(r.event_order_hash, g.hash)
         << g.name << " nodes=" << g.nodes << " gear=" << g.gear;
     EXPECT_NE(r.event_order_hash, 0U);
@@ -521,13 +532,13 @@ TEST(EngineDeterminism, GoldenEventOrderHashes) {
 TEST(EngineDeterminism, RepeatedRunsHashIdentically) {
   const cluster::ExperimentRunner runner(cluster::athlon_cluster());
   const workloads::NasCg cg;
-  const cluster::RunResult a = run_serial(runner, cg, 8, 0);
-  const cluster::RunResult b = run_serial(runner, cg, 8, 0);
+  const cluster::RunResult a = runner.run(cg, 8, 0);
+  const cluster::RunResult b = runner.run(cg, 8, 0);
   EXPECT_EQ(a.event_order_hash, b.event_order_hash);
   EXPECT_EQ(a.wall.value(), b.wall.value());
   // Different inputs must fingerprint differently (sanity that the hash
   // actually observes the schedule).
-  const cluster::RunResult c = run_serial(runner, cg, 8, 2);
+  const cluster::RunResult c = runner.run(cg, 8, 2);
   EXPECT_NE(a.event_order_hash, c.event_order_hash);
 }
 
@@ -537,12 +548,11 @@ TEST(EngineDeterminism, SweepWorkersDoNotPerturbEventOrder) {
   // whole simulation, so worker scheduling can never leak into it.
   const workloads::NasCg cg;
   const cluster::ExperimentRunner direct(cluster::athlon_cluster());
-  const cluster::RunResult serial0 = run_serial(direct, cg, 8, 0);
-  const cluster::RunResult serial2 = run_serial(direct, cg, 8, 2);
+  const cluster::RunResult serial0 = direct.run(cg, 8, 0);
+  const cluster::RunResult serial2 = direct.run(cg, 8, 2);
 
   exec::SweepOptions options;
   options.jobs = 2;
-  options.engine_threads = 1;
   const exec::SweepRunner sweep(cluster::athlon_cluster(), options);
   const std::vector<exec::SweepPoint> points = {
       {&cg, 8, 0, 0, nullptr},

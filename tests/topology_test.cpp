@@ -1,9 +1,8 @@
 // Unit tests for routing topologies and the fair-share contention model:
 // spec parsing, fat-tree/torus hop counts and path symmetry, per-link
-// bandwidth sharing, lookahead soundness, and cluster/cache wiring.
+// bandwidth sharing, and cluster/cache wiring.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -111,7 +110,6 @@ TEST(TopologyRouting, FatTreeHopCounts) {
   EXPECT_EQ(path_of(*topo, 0, 1).size(), 2u);
   EXPECT_EQ(path_of(*topo, 0, 2).size(), 4u);
   EXPECT_EQ(path_of(*topo, 1, 3).size(), 4u);
-  EXPECT_EQ(topo->min_path_links(), 2u);
 }
 
 TEST(TopologyRouting, TorusHopCountsTakeTheShorterWrap) {
@@ -123,7 +121,6 @@ TEST(TopologyRouting, TorusHopCountsTakeTheShorterWrap) {
   EXPECT_EQ(path_of(*topo, 0, 6).size(), 3u);
   // (0,0) -> (3,0): the backward wrap is one hop, not three forward.
   EXPECT_EQ(path_of(*topo, 0, 3).size(), 1u);
-  EXPECT_EQ(topo->min_path_links(), 1u);
 }
 
 TEST(TopologyRouting, PathsAreSymmetricInLengthAndDirected) {
@@ -216,7 +213,7 @@ TEST(TopologyContention, CommittedArrivalsAreNeverRevised) {
 
 TEST(TopologyContention, TransferSequenceIsDeterministic) {
   // Two networks fed the identical mixed sequence return bit-identical
-  // arrivals — the property the parallel engine's barrier replay needs.
+  // arrivals — the property rerun determinism rests on.
   const auto run = [](Network& net) {
     std::vector<double> arrivals;
     double t = 0.0;
@@ -246,58 +243,6 @@ TEST(TopologyContention, TrunkBandwidthCapsSpineLinks) {
   EXPECT_NEAR(cross.value(), 0.500103, 1e-9);
   const Seconds sibling = net.transfer(1, 0, 1'000'000, seconds(0.0));
   EXPECT_NEAR(sibling.value(), 0.100101, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// Lookahead.
-
-TEST(TopologyLookahead, EqualsTrueMinimumRoutedPathLatency) {
-  for (const char* spec : {"fat-tree:2,2:1,1:1,1", "fat-tree:4,4:1,2:1,2",
-                           "torus:4x4", "torus:3x3x3",
-                           "torus:4x4:hop_us=7.5"}) {
-    SCOPED_TRACE(spec);
-    NetworkParams params = quiet_with(spec);
-    const auto shape = Topology::make(params.topology, 0, 10e6);
-    const std::size_t n = shape->num_hosts();
-    Network net(params, n);
-    ASSERT_NE(net.topology(), nullptr);
-    // Brute force over every ordered pair.
-    std::size_t min_links = std::numeric_limits<std::size_t>::max();
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        if (s != d) min_links = std::min(min_links, path_of(*shape, s, d).size());
-      }
-    }
-    const Seconds expected =
-        params.latency +
-        params.topology.hop_latency * static_cast<double>(min_links - 1);
-    EXPECT_EQ(net.conservative_lookahead().value(), expected.value());
-  }
-}
-
-TEST(TopologyLookahead, EveryArrivalClearsTheBound) {
-  Network net(quiet_with("torus:4x4"), 16);
-  const Seconds bound = net.conservative_lookahead();
-  ASSERT_GT(bound.value(), 0.0);
-  for (int i = 0; i < 48; ++i) {
-    const auto src = static_cast<std::size_t>(i % 16);
-    const auto dst = static_cast<std::size_t>((i * 5 + 1) % 16);
-    if (src == dst) continue;
-    const Seconds now = seconds(0.01 * i);
-    const Seconds arrival = net.transfer(src, dst, 10'000 * i, now);
-    EXPECT_GE(arrival.value(), (now + bound).value());
-  }
-}
-
-TEST(TopologyLookahead, FlatModeIsUnchangedAndJitterStillForfeits) {
-  Network flat(quiet(), 4);
-  EXPECT_EQ(flat.topology(), nullptr);
-  EXPECT_EQ(flat.conservative_lookahead().value(), quiet().latency.value());
-
-  NetworkParams jittered = quiet_with("torus:4x4");
-  jittered.latency_jitter = 0.05;
-  Network net(jittered, 16);
-  EXPECT_EQ(net.conservative_lookahead().value(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@
 // that silently stopped running is a regression.  Results without a
 // baseline are listed as unchecked, never failed.
 //
-// `bless` regenerates baselines from result documents with a uniform
-// relative tolerance (default 0.02).  Blessing is an explicit, reviewed
-// act: commit the diff it produces.
+// `bless` regenerates baselines from result documents.  A metric already
+// in the baseline being replaced keeps its tolerances and direction, so
+// exact gates stay exact; new metrics get --tol-rel (default 0.02).
+// Blessing is an explicit, reviewed act: commit the diff it produces.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -98,13 +99,12 @@ void write_file(const fs::path& path, const std::string& content) {
   std::cout << "wrote " << path.string() << '\n';
 }
 
-int bless(const std::map<std::string, std::string>& results,
-          const fs::path& baselines_dir, double tol_rel) {
-  for (const auto& [name, result] : results) {
-    write_file(baselines_dir / (name + ".json"),
-               obs::baseline_from_result(result, tol_rel) + "\n");
-  }
-  return 0;
+/// Re-bless one baseline file from `result`, keeping the gates of the
+/// metrics the file already holds.
+void bless_file(const fs::path& path, const std::string& result,
+                double tol_rel) {
+  const std::string previous = fs::exists(path) ? slurp(path) : std::string();
+  write_file(path, obs::baseline_from_result(result, tol_rel, previous) + "\n");
 }
 
 int usage() {
@@ -160,14 +160,16 @@ int main(int argc, char** argv) {
       if (results.empty()) return usage();
       if (flags.count("baseline")) {
         for (const auto& [name, result] : results) {
-          write_file(flags.at("baseline"),
-                     gearsim::obs::baseline_from_result(result, tol_rel) +
-                         "\n");
+          bless_file(flags.at("baseline"), result, tol_rel);
         }
         return 0;
       }
       if (!flags.count("baselines")) return usage();
-      return bless(results, flags.at("baselines"), tol_rel);
+      for (const auto& [name, result] : results) {
+        bless_file(fs::path(flags.at("baselines")) / (name + ".json"), result,
+                   tol_rel);
+      }
+      return 0;
     }
   } catch (const std::exception& e) {
     std::cerr << "bench_compare: " << e.what() << '\n';

@@ -6,9 +6,16 @@
 // never gated).  The gated deterministic metrics are the properties the
 // kernel rewrite exists to guarantee:
 //   * engine.allocs_per_event_steady — heap allocations per push/pop pair
-//     during steady-state churn; the pooled queue + small-buffer EventFn
-//     make this exactly 0, and any regression (a capture outgrowing the
-//     inline buffer, the pool losing its free list) bumps it.
+//     over 1M ops of churn after a 200k-op warm-up.  Not 0: churn pops at
+//     t and pushes at t + 1 s, so over the first 100 s of simulated time
+//     the initial 100-s spread of keys is squeezed into a 1-s window.
+//     Band occupancy climbs from 8 keys toward hundreds within one epoch,
+//     and each allocation is a band vector doubling (256 B up to 8 KiB).
+//     The value is deterministic (0.020306), so any regression (a
+//     capture outgrowing the inline buffer, the pool losing its free
+//     list) still moves it.
+//   * engine.allocs_per_event_converged — the same churn once that
+//     transient has passed (>= 10.5M warm-up ops): exactly 0.
 //   * engine.pool.inline_events / engine.pool.fallback_allocs — exact
 //     capture-path counts for a fixed scenario.
 //   * jacobi8.pool_fallback_allocs — fallback allocations across a real
@@ -32,9 +39,10 @@
 #include "workloads/jacobi.hpp"
 
 // --- instrumented global allocator -----------------------------------------
-// Counts every operator-new so the bench can assert allocs/event == 0 in
-// steady state.  Relaxed atomics: the bench is single-threaded where it
-// matters, and the counter is read only between phases.
+// Counts every operator-new so the bench can pin allocs/event (0 once
+// the queue's band capacities have converged).  Relaxed atomics: the
+// bench is single-threaded where it matters, and the counter is read
+// only between phases.
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -96,23 +104,34 @@ int run(bench::BenchContext& ctx) {
   }
 
   // --- allocations per event, steady state -------------------------------
-  // At constant depth with warmed vectors, a push/pop pair must touch the
-  // allocator zero times: keys move inside a pre-grown vector, captures
-  // live inline in pooled slots.  Deterministic, so the gate pins it.
+  // Keys move inside band vectors recycled across epochs and captures
+  // live inline in pooled slots, so only band vectors growing toward
+  // their final capacity allocate.  After 200k warm-up ops they are
+  // still growing (churn compresses the initial spread, raising band
+  // occupancy), so the first arm reads ~0.02; after >= 10.5M ops the
+  // capacities have converged and a push/pop pair touches the allocator
+  // zero times.  Both are deterministic, so the gates pin them.
   {
+    const auto allocs_per_event = [](sim::EventQueue& q, int ops) {
+      const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+      const std::uint64_t events = churn(q, ops);
+      const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+      return static_cast<double>(after - before) /
+             static_cast<double>(events);
+    };
     sim::EventQueue q;
     const int depth = 100'000;
     for (int i = 0; i < depth; ++i) {
       q.push(seconds(((i * 7919LL) % depth) * 1e-3), [] {});
     }
-    churn(q, 200'000);  // Warm-up: grow pool/heap/free-list to capacity.
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    const std::uint64_t events = churn(q, 1'000'000);
-    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-    const double allocs_per_event =
-        static_cast<double>(after - before) / static_cast<double>(events);
-    ctx.metric("engine.allocs_per_event_steady", allocs_per_event);
-    std::cout << "steady-state allocs/event: " << allocs_per_event << "\n";
+    churn(q, 200'000);  // Warm-up: grow pool/bands/free-list.
+    const double steady = allocs_per_event(q, 1'000'000);
+    ctx.metric("engine.allocs_per_event_steady", steady);
+    std::cout << "steady-state allocs/event: " << steady << "\n";
+    churn(q, 9'300'000);  // 10.5M ops in all: past the transient.
+    const double converged = allocs_per_event(q, 1'000'000);
+    ctx.metric("engine.allocs_per_event_converged", converged);
+    std::cout << "converged allocs/event: " << converged << "\n";
   }
 
   // --- capture-pool paths: fixed scenario --------------------------------

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <string>
 
+#include "exec/sweep_runner.hpp"
 #include "sched/scheduler.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace gearsim;
 
   const double cap = argc > 1 ? std::stod(argv[1]) : 900.0;
-  cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const exec::SweepRunner runner(cluster::athlon_cluster());
 
   std::cout << "Profiling workloads on the simulated Athlon-64 cluster...\n";
   const auto cg = workloads::make_workload("CG");

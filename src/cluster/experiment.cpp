@@ -432,29 +432,6 @@ std::vector<RunResult> ExperimentRunner::gear_sweep(const Workload& workload,
   return results;
 }
 
-ExperimentRunner::RepeatedResult ExperimentRunner::run_repeated(
-    const Workload& workload, int nodes, std::size_t gear_index,
-    int repetitions, int jobs) const {
-  GEARSIM_REQUIRE(repetitions >= 1, "need at least one repetition");
-  RepeatedResult result;
-  result.runs.resize(static_cast<std::size_t>(repetitions));
-  parallel_for_ordered(
-      jobs, static_cast<std::size_t>(repetitions), [&](std::size_t rep) {
-        ClusterConfig config = config_;
-        config.seed = config_.seed + rep;
-        config.network.jitter_seed = config_.network.jitter_seed + rep;
-        const ExperimentRunner sub(config);
-        result.runs[rep] = sub.run(workload, nodes, gear_index);
-      });
-  // Welford accumulation is order-sensitive in the last bits; fold the
-  // ordered results serially so the statistics match the serial loop.
-  for (const RunResult& run : result.runs) {
-    result.time_s.add(run.wall.value());
-    result.energy_j.add(run.energy.value());
-  }
-  return result;
-}
-
 double speedup(const RunResult& a, const RunResult& b) {
   GEARSIM_REQUIRE(b.wall.value() > 0.0, "zero-time run");
   return a.wall / b.wall;

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "trace/analysis.hpp"
 #include "trace/fault_events.hpp"
-#include "util/statistics.hpp"
 
 namespace gearsim::cluster {
 
@@ -169,36 +168,6 @@ class ExperimentRunner {
   std::vector<RunResult> gear_sweep(const Workload& workload, int nodes,
                                     int jobs = 0) const;
 
-  /// Repeated measurement under different load-imbalance seeds — the
-  /// simulation analogue of the paper's practice of averaging multiple
-  /// wall-outlet measurements.  Time/energy statistics plus every run.
-  struct RepeatedResult {
-    RunningStats time_s;
-    RunningStats energy_j;
-    std::vector<RunResult> runs;
-
-    [[nodiscard]] Seconds mean_time() const { return seconds(time_s.mean()); }
-    [[nodiscard]] Joules mean_energy() const {
-      return joules(energy_j.mean());
-    }
-    /// Coefficient of variation of the run times (0 when the sample is
-    /// empty or its mean is — degenerately — not positive, rather than
-    /// NaN/inf or a precondition failure).
-    [[nodiscard]] double time_cv() const {
-      if (time_s.count() == 0) return 0.0;
-      const double m = time_s.mean();
-      return m > 0.0 ? time_s.stddev() / m : 0.0;
-    }
-  };
-  /// Repetition r seeds its run with (config.seed + r, jitter_seed + r),
-  /// a pure function of the repetition index — never a shared RNG — so
-  /// `jobs` parallelism (same convention as gear_sweep) cannot reorder
-  /// randomness and the statistics accumulate in repetition order
-  /// regardless of which worker finished first.
-  RepeatedResult run_repeated(const Workload& workload, int nodes,
-                              std::size_t gear_index, int repetitions,
-                              int jobs = 0) const;
-
  private:
   ClusterConfig config_;
 };
@@ -206,8 +175,8 @@ class ExperimentRunner {
 /// Speedup of `slow_nodes`-vs-`fast_nodes` runs at the fastest gear:
 /// T(a) / T(b).  Degenerate denominators are rejected, not absorbed:
 /// b.wall <= 0 (an empty or failed run) throws ContractError, matching
-/// rel_diff; only summary *statistics* (e.g. RepeatedResult::time_cv)
-/// degrade to 0.0, because for them an empty sample is a valid state.
+/// rel_diff; only summary *statistics* degrade to 0.0, because for them
+/// an empty sample is a valid state.
 double speedup(const RunResult& a, const RunResult& b);
 
 }  // namespace gearsim::cluster

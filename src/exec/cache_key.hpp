@@ -61,7 +61,7 @@ struct CacheKey {
 
 /// The key of one sweep point.  `workload_signature` is
 /// Workload::signature(); `rep` is the repetition index (seeds shift by
-/// +rep, matching ExperimentRunner::run_repeated); `policy_signature` is
+/// +rep, see SweepPoint::rep); `policy_signature` is
 /// GearPolicy::signature() for policy-driven points and empty for
 /// uniform-gear points (keyed as "policy=none" — `gear_index` alone then
 /// identifies the run).  A policy point can therefore never collide with

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/assert.hpp"
 #include "util/json.hpp"
@@ -88,14 +87,6 @@ void write_manifest_file(const RunManifest& manifest,
   if (!out.good()) {
     throw SimulationError("failed to write manifest: " + path);
   }
-}
-
-RunManifest read_manifest_file(const std::string& path) {
-  std::ifstream in(path);
-  GEARSIM_REQUIRE(in.good(), "cannot open manifest: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return RunManifest::from_json(buf.str());
 }
 
 }  // namespace gearsim::obs

@@ -56,7 +56,4 @@ struct RunManifest {
 /// trailing newline included.  Throws SimulationError on I/O failure.
 void write_manifest_file(const RunManifest& manifest, const std::string& path);
 
-/// Read + parse a manifest file; throws on I/O or parse failure.
-RunManifest read_manifest_file(const std::string& path);
-
 }  // namespace gearsim::obs

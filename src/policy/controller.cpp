@@ -61,12 +61,6 @@ void RuntimeController::begin_run(int nprocs) {
   reset(nprocs);
 }
 
-std::size_t RuntimeController::iterations(int rank) const {
-  GEARSIM_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < clocks_.size(),
-                  "rank out of range");
-  return clocks_[static_cast<std::size_t>(rank)].iterations();
-}
-
 void RuntimeController::on_blocking_enter(int rank, mpi::CallType type,
                                           Bytes bytes, Seconds now) {
   if (clocks_[static_cast<std::size_t>(rank)].on_call(type, bytes)) {

@@ -77,8 +77,6 @@ class RuntimeController : public cluster::GearPolicy {
   [[nodiscard]] std::vector<std::size_t> final_gears() const {
     return compute_gears_;
   }
-  /// Iterations the rank's clock has closed so far.
-  [[nodiscard]] std::size_t iterations(int rank) const;
 
  protected:
   explicit RuntimeController(std::size_t initial_gear);

@@ -19,24 +19,11 @@ WorkloadProfile::WorkloadProfile(std::string workload_name,
   }
 }
 
-WorkloadProfile WorkloadProfile::measure(cluster::ExperimentRunner& runner,
-                                         const cluster::Workload& workload,
-                                         int max_nodes) {
-  std::vector<ConfigPoint> points;
-  for (int n : workloads::paper_node_counts(workload, max_nodes)) {
-    for (std::size_t g = 0; g < runner.num_gears(); ++g) {
-      const cluster::RunResult r = runner.run(workload, n, g);
-      points.push_back(ConfigPoint{n, g, r.gear_label, r.wall, r.energy});
-    }
-  }
-  return WorkloadProfile(workload.name(), std::move(points));
-}
-
 WorkloadProfile WorkloadProfile::measure(const exec::SweepRunner& runner,
                                          const cluster::Workload& workload,
                                          int max_nodes) {
-  // grid() runs the same (nodes-major x gears) order the serial loop
-  // above walks, through the worker pool and the result cache.
+  // grid() runs the points nodes-major x gears, through the worker pool
+  // and the result cache.
   const std::vector<int> node_counts =
       workloads::paper_node_counts(workload, max_nodes);
   const std::vector<cluster::RunResult> runs =

@@ -39,16 +39,11 @@ class WorkloadProfile {
   WorkloadProfile(std::string workload_name, std::vector<ConfigPoint> points);
 
   /// Profile `workload` on `runner`'s cluster: every valid node count up
-  /// to `max_nodes` x every gear.
-  static WorkloadProfile measure(cluster::ExperimentRunner& runner,
-                                 const cluster::Workload& workload,
-                                 int max_nodes);
-
-  /// Same table, measured through the parallel sweep executor: points
-  /// fan over `runner`'s worker pool (GEARSIM_SWEEP_JOBS honored) and —
-  /// when the runner carries an exec::ResultCache — warm invocations
-  /// skip the simulations entirely.  Bit-identical to the
-  /// ExperimentRunner overload for any job count or cache state.
+  /// to `max_nodes` x every gear.  Points fan over `runner`'s worker pool
+  /// (GEARSIM_SWEEP_JOBS honored) and — when the runner carries an
+  /// exec::ResultCache — warm invocations skip the simulations entirely.
+  /// Bit-identical to serial ExperimentRunner::run calls for any job
+  /// count or cache state.
   static WorkloadProfile measure(const exec::SweepRunner& runner,
                                  const cluster::Workload& workload,
                                  int max_nodes);

@@ -58,7 +58,7 @@ Request parse_request(std::string_view line) {
   GEARSIM_REQUIRE(request.repeat > 0, "repeat must be positive");
   if (!request.topology.empty()) {
     // Canonicalize (and validate) the spec so queries that spell the
-    // same shape differently coalesce on one supervisor and cache key.
+    // same shape differently coalesce on one runner and cache key.
     request.topology = net::to_spec(net::parse_topology(request.topology));
     if (request.topology == "flat") request.topology.clear();
   }

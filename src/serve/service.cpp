@@ -80,27 +80,25 @@ Service::Service(ServiceOptions options)
   if (options_.preload) cache_.preload();
 }
 
-const exec::SweepSupervisor& Service::supervisor_for(const Request& request) {
+const exec::SweepRunner& Service::runner_for(const Request& request) {
   // One runner per simulated configuration: the canonical topology spec
   // joins the cluster name in the key ('|' cannot occur in either).
   const std::string key = request.cluster + "|" + request.topology;
-  const std::lock_guard<std::mutex> lock(supervisors_mutex_);
-  auto it = supervisors_.find(key);
-  if (it == supervisors_.end()) {
+  const std::lock_guard<std::mutex> lock(runners_mutex_);
+  auto it = runners_.find(key);
+  if (it == runners_.end()) {
     exec::SweepOptions sweep;
     sweep.jobs = options_.jobs;
     sweep.cache = &cache_;
     sweep.engine_threads = options_.engine_threads;
-    exec::SupervisorOptions sup;
-    sup.max_attempts = 1 + std::max(0, options_.retries);
     cluster::ClusterConfig config = cluster_by_name(request.cluster);
     if (!request.topology.empty()) {
       cluster::install_topology(&config,
                                 net::parse_topology(request.topology));
     }
-    it = supervisors_
-             .emplace(key, std::make_unique<exec::SweepSupervisor>(
-                               std::move(config), sweep, sup))
+    it = runners_
+             .emplace(key, std::make_unique<exec::SweepRunner>(
+                               std::move(config), sweep))
              .first;
   }
   return *it->second;
@@ -108,8 +106,7 @@ const exec::SweepSupervisor& Service::supervisor_for(const Request& request) {
 
 std::vector<cluster::RunResult> Service::run_points(
     const Request& request, const std::vector<exec::SweepPoint>& points) {
-  const exec::SweepSupervisor& supervisor = supervisor_for(request);
-  const exec::SweepRunner& runner = supervisor.runner();
+  const exec::SweepRunner& runner = runner_for(request);
   // Validate the whole list up front: a bad coordinate is the *query's*
   // error and must fail before any claim or admission side effect.
   for (const exec::SweepPoint& p : points) runner.validate_point(p);
@@ -160,9 +157,11 @@ std::vector<cluster::RunResult> Service::run_points(
       std::vector<exec::SweepPoint> batch;
       batch.reserve(leaders.size());
       for (const Claim& c : leaders) batch.push_back(points[c.index]);
+      exec::SupervisorOptions supervise;
+      supervise.max_attempts = 1 + std::max(0, options_.retries);
       exec::SweepOutcome outcome;
       try {
-        outcome = supervisor.run(batch);
+        outcome = runner.supervise(batch, supervise);
       } catch (...) {
         for (const Claim& c : leaders) {
           inflight_.fail(keys[c.index].text, c.ticket,

@@ -18,8 +18,8 @@
 //    the same bytes (tests diff them against a cold `gearsim sweep`).
 //
 // Thread-safe: handle_line may be called from any number of connection
-// threads.  Misses run through exec::SweepSupervisor, so a poisoned
-// point fails its own query with a structured error instead of taking
+// threads.  Misses run through exec::SweepRunner::supervise, so a
+// poisoned point fails its own query with a structured error instead of taking
 // the daemon down.  See docs/SERVICE.md.
 #pragma once
 
@@ -34,7 +34,7 @@
 
 #include "exec/inflight.hpp"
 #include "exec/result_cache.hpp"
-#include "exec/supervisor.hpp"
+#include "exec/sweep_runner.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
@@ -100,8 +100,8 @@ struct ServiceOptions {
   int jobs = 0;
   /// Forwarded to exec::SweepOptions::engine_threads (0 or 1).
   int engine_threads = 0;
-  /// Extra attempts for transiently-failing points (supervisor
-  /// max_attempts = 1 + retries).
+  /// Extra attempts for transiently-failing points
+  /// (SupervisorOptions::max_attempts = 1 + retries).
   int retries = 0;
   AdmissionGate::Options admission;
   /// Constant backpressure hint in rejected responses.
@@ -147,10 +147,10 @@ class Service {
   std::vector<cluster::RunResult> run_points(
       const Request& request, const std::vector<exec::SweepPoint>& points);
 
-  /// The lazily-built supervised runner for one (cluster, topology)
-  /// configuration — the request's canonical topology spec is part of
-  /// the map key, so routed and flat queries never share a runner.
-  const exec::SweepSupervisor& supervisor_for(const Request& request);
+  /// The lazily-built runner for one (cluster, topology) configuration
+  /// — the request's canonical topology spec is part of the map key, so
+  /// routed and flat queries never share a runner.
+  const exec::SweepRunner& runner_for(const Request& request);
 
   [[nodiscard]] std::string handle_request(const Request& request);
   [[nodiscard]] std::string stats_response();
@@ -161,8 +161,8 @@ class Service {
   AdmissionGate gate_;
   std::atomic<bool> shutdown_{false};
 
-  std::mutex supervisors_mutex_;
-  std::map<std::string, std::unique_ptr<exec::SweepSupervisor>> supervisors_;
+  std::mutex runners_mutex_;
+  std::map<std::string, std::unique_ptr<exec::SweepRunner>> runners_;
 
   std::atomic<std::uint64_t> outer_hits_{0};
   std::atomic<std::uint64_t> outer_misses_{0};

@@ -27,10 +27,17 @@
 //     active band are insertion-sorted into `current_`.  Bucket
 //     boundaries therefore affect performance only, never order.
 //   * Callables live in a slot pool (vector + free list) reused across
-//     events; keys carry only the 16-byte (time, seq·2^24 | slot) pair.
-//     After warm-up, push/pop churn allocates nothing (see
-//     bench/microbench_engine's allocs-per-event gate) and EventFn's
-//     small-buffer optimization keeps captures out of the heap entirely.
+//     events; keys carry only the 16-byte (time, seq·2^24 | slot) pair,
+//     and EventFn's small-buffer optimization keeps captures out of the
+//     heap entirely.  The only steady-state allocations are band vectors
+//     growing toward their working capacity.  That takes a while when
+//     the schedule compresses: churn that pops at t and pushes at t + 1 s
+//     squeezes an initial 100-s spread into a 1-s window, so band
+//     occupancy keeps rising (8 keys per band at first, hundreds later)
+//     and bands keep doubling for millions of ops.  Once capacities
+//     converge, push/pop churn allocates nothing (see
+//     bench/microbench_engine's allocs_per_event_steady and _converged
+//     gates).
 //
 // Degradation mode: a pathological time distribution (one far outlier
 // stretching the epoch) can funnel most keys into one band, making its
@@ -185,8 +192,10 @@ class EventQueue {
   /// keys per band so the active band stays tiny — pushes that land below
   /// it pay an insertion proportional to its length, and band width must
   /// stay under the typical schedule increment or every push degrades to
-  /// that path.  Band vectors are recycled across epochs, so steady-state
-  /// churn still allocates nothing once capacities are warm.
+  /// that path.  Band vectors are recycled across epochs, so churn
+  /// allocates nothing once their capacities have converged — which, when
+  /// the schedule compresses and occupancy keeps rising, can take millions
+  /// of ops (the header comment and bench/microbench_engine measure it).
   static constexpr std::size_t kTargetBandOccupancy = 8;
   static constexpr std::size_t kMinBands = 16;
   static constexpr std::size_t kMaxBands = std::size_t{1} << 20;

@@ -56,10 +56,6 @@ void export_csv(const Tracer& tracer, std::ostream& out,
   }
 }
 
-void export_csv_file(const Tracer& tracer, const std::string& path) {
-  export_csv_file(tracer, path, FaultLog{});
-}
-
 void export_csv_file(const Tracer& tracer, const std::string& path,
                      const FaultLog& faults) {
   std::ofstream out(path);

@@ -23,7 +23,6 @@ void export_csv(const Tracer& tracer, std::ostream& out,
                 const FaultLog& faults);
 
 /// Convenience: write to a file; creates/truncates.
-void export_csv_file(const Tracer& tracer, const std::string& path);
 void export_csv_file(const Tracer& tracer, const std::string& path,
                      const FaultLog& faults);
 

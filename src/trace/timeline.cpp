@@ -139,12 +139,6 @@ std::string render_timeline(const Tracer& tracer, Seconds wall,
 
 void write_timeline(const Tracer& tracer, Seconds wall,
                     const std::string& title, const std::string& path,
-                    const TimelineOptions& options) {
-  write_timeline(tracer, wall, title, path, FaultLog{}, options);
-}
-
-void write_timeline(const Tracer& tracer, Seconds wall,
-                    const std::string& title, const std::string& path,
                     const FaultLog& faults, const TimelineOptions& options) {
   std::ofstream out(path);
   GEARSIM_REQUIRE(out.good(), "cannot open " + path + " for writing");

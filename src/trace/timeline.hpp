@@ -34,10 +34,7 @@ std::string render_timeline(const Tracer& tracer, Seconds wall,
                             const std::string& title, const FaultLog& faults,
                             const TimelineOptions& options = {});
 
-/// Render and write to `path`.
-void write_timeline(const Tracer& tracer, Seconds wall,
-                    const std::string& title, const std::string& path,
-                    const TimelineOptions& options = {});
+/// Render (with fault-event markers) and write to `path`.
 void write_timeline(const Tracer& tracer, Seconds wall,
                     const std::string& title, const std::string& path,
                     const FaultLog& faults, const TimelineOptions& options = {});

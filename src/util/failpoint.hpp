@@ -2,7 +2,8 @@
 // robustness machinery itself.
 //
 // A failpoint is a named hook compiled into a production code path (the
-// sweep supervisor, the result-store write path, ExperimentRunner::run).
+// sweep executor's job loop, the result-store write path,
+// ExperimentRunner::run).
 // Disarmed — the default — a visit costs one relaxed atomic load and
 // nothing else.  Armed (programmatically or via the GEARSIM_FAILPOINTS
 // environment variable), the hook fires on a deterministic schedule and

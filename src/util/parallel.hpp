@@ -40,7 +40,7 @@ int resolve_jobs(int jobs);
 /// Nothing runs — and nothing writes into caller state — after the
 /// rethrow, so the caller may immediately reuse its buffers or call
 /// parallel_for_ordered again (per-job isolation with no abort lives a
-/// level up, in exec::SweepSupervisor).
+/// level up, in exec::SweepRunner::supervise).
 void parallel_for_ordered(int jobs, std::size_t n,
                           const std::function<void(std::size_t)>& fn);
 

@@ -521,7 +521,8 @@ TEST(SweepRunnerTest, ValidatesPointsUpFront) {
 
 TEST(SweepRunnerTest, BitIdenticalAcrossJobCounts) {
   // The determinism contract: jobs=1 and jobs=8 produce byte-identical
-  // results (to_json covers every field) in the same order.
+  // results (to_json covers every field) in the same order — through
+  // run() and through non-strict supervise() alike.
   const workloads::Jacobi jacobi;
   SweepOptions serial;
   serial.jobs = 1;
@@ -534,6 +535,19 @@ TEST(SweepRunnerTest, BitIdenticalAcrossJobCounts) {
   const auto rb = b.grid(jacobi, {1, 2, 4});
   ASSERT_EQ(ra.size(), rb.size());
   EXPECT_EQ(fingerprints(ra), fingerprints(rb));
+
+  std::vector<SweepPoint> points;
+  for (int nodes : {1, 2, 4}) {
+    for (std::size_t g = 0; g < 6; ++g) {
+      points.push_back(SweepPoint{&jacobi, nodes, g, 0});
+    }
+  }
+  const SweepOutcome outcome = b.supervise(points, SupervisorOptions{});
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome.results.size(), ra.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(to_json(*outcome.results[i]), to_json(ra[i])) << "point " << i;
+  }
 }
 
 TEST(SweepRunnerTest, MatchesExperimentRunnerGearSweep) {
@@ -549,15 +563,22 @@ TEST(SweepRunnerTest, MatchesExperimentRunnerGearSweep) {
 }
 
 TEST(SweepRunnerTest, RepeatMatchesRunRepeatedSeeds) {
-  // repeat() shifts seeds exactly like run_repeated: rep r uses
-  // (seed + r, jitter_seed + r).
+  // Repetition r of a point runs under (seed + r, jitter_seed + r): the
+  // same bytes as ExperimentRunner::run on the shifted config.
   const workloads::Jacobi jacobi;
-  const cluster::ExperimentRunner direct(cluster::athlon_cluster());
-  const SweepRunner sweep(cluster::athlon_cluster());
-  const auto reference = direct.run_repeated(jacobi, 2, 1, 3);
-  const auto repeated = sweep.repeat(jacobi, 2, 1, 3);
-  ASSERT_EQ(reference.runs.size(), repeated.size());
-  EXPECT_EQ(fingerprints(reference.runs), fingerprints(repeated));
+  const cluster::ClusterConfig base = cluster::athlon_cluster();
+  std::vector<SweepPoint> points;
+  std::vector<std::string> reference;
+  for (int r = 0; r < 3; ++r) {
+    points.push_back(SweepPoint{&jacobi, 2, 1, r});
+    cluster::ClusterConfig shifted = base;
+    shifted.seed = base.seed + static_cast<std::uint64_t>(r);
+    shifted.network.jitter_seed =
+        base.network.jitter_seed + static_cast<std::uint64_t>(r);
+    reference.push_back(
+        to_json(cluster::ExperimentRunner(shifted).run(jacobi, 2, 1)));
+  }
+  EXPECT_EQ(fingerprints(SweepRunner(base).run(points)), reference);
 }
 
 TEST(SweepRunnerTest, ColdAndWarmCacheAreByteIdentical) {
@@ -648,6 +669,25 @@ TEST(SweepRunnerTest, ExceptionInOnePointPropagates) {
   EXPECT_THROW((void)runner.run({SweepPoint{&jacobi, 4, 0, 0},
                                  SweepPoint{bt.get(), 8, 0, 0}}),
                ContractError);
+}
+
+TEST(SweepRunnerTest, FailingSweepStillCachesItsGoodPoints) {
+  // run() is strict mode of supervise(): every job drains before the
+  // lowest-index failure is rethrown, so a good point listed after a
+  // failing one is still simulated and cached, not skipped.
+  const auto bt = workloads::make_workload("BT");
+  const workloads::Jacobi jacobi;
+  ResultCache cache;
+  SweepOptions options;
+  options.jobs = 1;
+  options.cache = &cache;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
+  EXPECT_THROW((void)runner.run({SweepPoint{bt.get(), 8, 0, 0},
+                                 SweepPoint{&jacobi, 4, 0, 0}}),
+               ContractError);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  (void)runner.run({SweepPoint{&jacobi, 4, 0, 0}});
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 }  // namespace

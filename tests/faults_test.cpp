@@ -465,16 +465,6 @@ TEST(FaultDeterminism, EmptyPlanIsBitIdenticalToNoPlan) {
   EXPECT_TRUE(with_empty.fault_events.empty());
 }
 
-// --- repeated-run statistics -------------------------------------------------
-
-TEST(RepeatedResult, TimeCvIsZeroNotNanOnDegenerateStats) {
-  cluster::ExperimentRunner::RepeatedResult empty;
-  EXPECT_EQ(empty.time_cv(), 0.0);  // Zero mean must not divide.
-  cluster::ExperimentRunner::RepeatedResult single;
-  single.time_s.add(12.5);
-  EXPECT_EQ(single.time_cv(), 0.0);  // One sample: no spread.
-}
-
 // --- scheduler outages -------------------------------------------------------
 
 sched::WorkloadProfile one_config_profile(const std::string& name,

@@ -10,6 +10,7 @@
 #include "sched/profile.hpp"
 #include "sim/engine.hpp"
 #include "util/log.hpp"
+#include "util/statistics.hpp"
 #include "util/table.hpp"
 
 namespace gearsim {

@@ -68,7 +68,7 @@ TEST(Profile, BestRespectsNodeAndPowerLimits) {
 }
 
 TEST(Profile, MeasureBuildsFullTable) {
-  cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const exec::SweepRunner runner(cluster::athlon_cluster());
   const auto cg = workloads::make_workload("CG");
   const WorkloadProfile profile = WorkloadProfile::measure(runner, *cg, 4);
   // Node counts {1, 2, 4} x 6 gears.
@@ -221,7 +221,7 @@ TEST(Scheduler, IdleEnergyCoversParkedNodes) {
 TEST(Scheduler, EndToEndWithMeasuredProfiles) {
   // Full pipeline: profile real workloads on the simulated cluster, then
   // schedule a mixed queue under the paper's rack-power scenario.
-  cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const exec::SweepRunner runner(cluster::athlon_cluster());
   const auto cg = workloads::make_workload("CG");
   const auto ep = workloads::make_workload("EP");
   const WorkloadProfile cg_prof = WorkloadProfile::measure(runner, *cg, 8);
@@ -238,9 +238,18 @@ TEST(Scheduler, EndToEndWithMeasuredProfiles) {
 // --- cached profile measurement ----------------------------------------------
 
 TEST(Profile, MeasureThroughSweepRunnerMatchesSerialAndCaches) {
-  cluster::ExperimentRunner serial(cluster::athlon_cluster());
+  // The reference table, spelled out: one serial ExperimentRunner::run per
+  // (nodes, gear), nodes-major.
+  const cluster::ExperimentRunner serial(cluster::athlon_cluster());
   const auto cg = workloads::make_workload("CG");
-  const WorkloadProfile base = WorkloadProfile::measure(serial, *cg, 4);
+  std::vector<ConfigPoint> expected;
+  for (int n : workloads::paper_node_counts(*cg, 4)) {
+    for (std::size_t g = 0; g < serial.num_gears(); ++g) {
+      const cluster::RunResult r = serial.run(*cg, n, g);
+      expected.push_back(ConfigPoint{n, g, r.gear_label, r.wall, r.energy});
+    }
+  }
+  const WorkloadProfile base(cg->name(), std::move(expected));
 
   exec::ResultCache cache;
   exec::SweepOptions opts;

@@ -1,7 +1,7 @@
-// Tests for supervised sweep execution: per-job failure isolation,
-// transient-vs-permanent retry classification, the wall-clock watchdog,
-// strict-mode throw-through, and the determinism contract (completed
-// results bit-identical to an unsupervised SweepRunner).  Every fault is
+// Tests for supervised sweep execution (SweepRunner::supervise): per-job
+// failure isolation, transient-vs-permanent retry classification, the
+// wall-clock watchdog, strict-mode throw-through (run() is that mode),
+// cache integration and the supervision metrics.  Every fault is
 // injected through util::Failpoints keyed by job index, so each failure
 // schedule replays exactly under any worker count.
 //
@@ -23,7 +23,6 @@
 #include "exec/result_cache.hpp"
 #include "exec/result_io.hpp"
 #include "exec/store.hpp"
-#include "exec/supervisor.hpp"
 #include "exec/sweep_runner.hpp"
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
@@ -80,11 +79,11 @@ FailpointSpec at_indices(std::vector<std::int64_t> indices,
 TEST(SweepSupervisorTest, IsolatesOneFailingJob) {
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 4);
-  const SweepSupervisor supervisor(cluster::athlon_cluster());
+  const SweepRunner runner(cluster::athlon_cluster());
   const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
                            at_indices({2}));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, {});
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.completed(), 3u);
   ASSERT_EQ(outcome.failures.size(), 1u);
@@ -108,12 +107,12 @@ TEST(SweepSupervisorTest, TransientFailureRetriesToSuccess) {
 
   SupervisorOptions sup;
   sup.max_attempts = 3;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  const SweepRunner runner(cluster::athlon_cluster());
   // Job 0 throws a TransientError on its first two attempts only.
   const ScopedFailpoint fp("exec.supervisor.job.throw",
                            at_indices({0}, /*times=*/2));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, sup);
   EXPECT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.retries, 2u);
   ASSERT_TRUE(outcome.results[0].has_value());
@@ -128,11 +127,11 @@ TEST(SweepSupervisorTest, TransientRetryBudgetExhausts) {
   const auto points = make_points(jacobi, 2);
   SupervisorOptions sup;
   sup.max_attempts = 2;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  const SweepRunner runner(cluster::athlon_cluster());
   const ScopedFailpoint fp("exec.supervisor.job.throw",
                            at_indices({1}, /*times=*/-1));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, sup);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].index, 1u);
   EXPECT_EQ(outcome.failures[0].attempts, 2);
@@ -151,11 +150,11 @@ TEST(SweepSupervisorTest, CustomClassifierOverridesDefault) {
   sup.classify = [](const std::exception&) {
     return FailureKind::kTransient;
   };
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  const SweepRunner runner(cluster::athlon_cluster());
   const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
                            at_indices({0}, /*times=*/-1));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, sup);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].attempts, 3);
   EXPECT_EQ(outcome.failures[0].kind, FailureKind::kTransient);
@@ -193,10 +192,10 @@ TEST(SweepSupervisorTest, EscapedJobExceptionIsContainedAndBookkept) {
   // A watchdog threshold of ~zero flags every completed job: proves the
   // flagging pass ran for all of them despite the escape.
   sup.watchdog_seconds = 1e-9;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), sweep, sup);
+  const SweepRunner runner(cluster::athlon_cluster(), sweep);
   const ScopedFailpoint fp("exec.supervisor.job.escape", at_indices({3}));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, sup);
   EXPECT_EQ(outcome.completed(), 5u);  // No abandoned tail.
   ASSERT_EQ(outcome.failures.size(), 1u);
   const JobFailure& f = outcome.failures[0];
@@ -217,8 +216,8 @@ TEST(SweepSupervisorTest, ValidationFailureIsIsolated) {
   std::vector<SweepPoint> points = make_points(jacobi, 3);
   points[1].nodes = 0;  // Invalid: fails validate_point.
 
-  const SweepSupervisor supervisor(cluster::athlon_cluster());
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepRunner runner(cluster::athlon_cluster());
+  const SweepOutcome outcome = runner.supervise(points, {});
   EXPECT_EQ(outcome.completed(), 2u);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].index, 1u);
@@ -231,16 +230,24 @@ TEST(SweepSupervisorTest, StrictModeRethrowsLowestIndexFailure) {
   const auto points = make_points(jacobi, 4);
   SupervisorOptions sup;
   sup.strict = true;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  const SweepRunner runner(cluster::athlon_cluster());
   const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
-                           at_indices({3, 1}));
+                           at_indices({3, 1}, /*times=*/-1));
 
   try {
-    (void)supervisor.run(points);
+    (void)runner.supervise(points, sup);
     FAIL() << "strict mode must rethrow";
   } catch (const SimulationError& e) {
     // The lowest-index failure, matching what serial throw-through
     // surfaces first.
+    EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos);
+  }
+  // run() is strict mode with one attempt: the same failpoints fire, and
+  // the same failure surfaces.
+  try {
+    (void)runner.run(points);
+    FAIL() << "run() must rethrow";
+  } catch (const SimulationError& e) {
     EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos);
   }
 }
@@ -250,13 +257,13 @@ TEST(SweepSupervisorTest, WatchdogFlagsRunawayJob) {
   const auto points = make_points(jacobi, 3);
   SupervisorOptions sup;
   sup.watchdog_seconds = 0.005;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  const SweepRunner runner(cluster::athlon_cluster());
   // Job 1 stalls for 50 ms of wall time — a runaway config.  It still
   // completes: the watchdog flags, it never kills.
   const ScopedFailpoint fp("exec.supervisor.job.slow",
                            at_indices({1}, /*times=*/1, /*arg=*/50));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, sup);
   EXPECT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.completed(), 3u);
   ASSERT_FALSE(outcome.runaway.empty());
@@ -264,27 +271,7 @@ TEST(SweepSupervisorTest, WatchdogFlagsRunawayJob) {
               outcome.runaway.end());
 }
 
-// ---- determinism and cache integration --------------------------------------
-
-TEST(SweepSupervisorTest, MatchesUnsupervisedRunnerBitIdentical) {
-  const workloads::Jacobi jacobi = tiny_jacobi();
-  const auto points = make_points(jacobi, 12);
-  SweepOptions serial;
-  serial.jobs = 1;
-  SweepOptions wide;
-  wide.jobs = 8;
-  const SweepRunner runner(cluster::athlon_cluster(), serial);
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), wide);
-
-  const auto reference = runner.run(points);
-  const SweepOutcome outcome = supervisor.run(points);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_EQ(outcome.results.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(to_json(*outcome.results[i]), to_json(reference[i]))
-        << "point " << i;
-  }
-}
+// ---- cache integration and metrics -------------------------------------------
 
 TEST(SweepSupervisorTest, FailedJobDoesNotPoisonCache) {
   const workloads::Jacobi jacobi = tiny_jacobi();
@@ -292,11 +279,11 @@ TEST(SweepSupervisorTest, FailedJobDoesNotPoisonCache) {
   ResultCache cache;
   SweepOptions options;
   options.cache = &cache;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), options);
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   {
     const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
                              at_indices({0}));
-    const SweepOutcome outcome = supervisor.run(points);
+    const SweepOutcome outcome = runner.supervise(points, {});
     EXPECT_EQ(outcome.completed(), 1u);
     EXPECT_EQ(cache.stats().insertions, 1u);  // Only the success cached.
     ASSERT_EQ(outcome.failures.size(), 1u);
@@ -304,7 +291,7 @@ TEST(SweepSupervisorTest, FailedJobDoesNotPoisonCache) {
   }
   // Failpoint gone: the failed point simulates (a miss, not a poisoned
   // hit), the completed one is served from memory.
-  const SweepOutcome retry = supervisor.run(points);
+  const SweepOutcome retry = runner.supervise(points, {});
   EXPECT_TRUE(retry.ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   const SweepRunner reference(cluster::athlon_cluster());
@@ -320,12 +307,13 @@ TEST(SweepSupervisorTest, ReportsSupervisionMetrics) {
   options.metrics = &reg;
   SupervisorOptions sup;
   sup.max_attempts = 2;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), options, sup);
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   const ScopedFailpoint fp("exec.supervisor.job.throw",
                            at_indices({2}, /*times=*/-1));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.supervise(points, sup);
   EXPECT_EQ(outcome.failures.size(), 1u);
+  EXPECT_EQ(reg.counter("exec.sweep.points").value(), 3u);
   EXPECT_EQ(reg.counter("exec.supervisor.jobs").value(), 3u);
   EXPECT_EQ(reg.counter("exec.supervisor.failures").value(), 1u);
   EXPECT_EQ(reg.counter("exec.supervisor.retries").value(), 1u);
@@ -359,7 +347,7 @@ TEST(SoakTest, SupervisedSweepUnderSeededFaults) {
     ResultCache cache(cache_options);
     SweepOptions options;
     options.cache = &cache;
-    const SweepSupervisor supervisor(cluster::athlon_cluster(), options);
+    const SweepRunner runner(cluster::athlon_cluster(), options);
     const ScopedFailpoint fail_jobs(
         "exec.supervisor.job.throw_permanent",
         at_indices({failing.begin(), failing.end()}, /*times=*/-1));
@@ -369,7 +357,7 @@ TEST(SoakTest, SupervisedSweepUnderSeededFaults) {
     torn.every = 7;
     const ScopedFailpoint tear_writes("exec.store.write.truncate", torn);
 
-    const SweepOutcome outcome = supervisor.run(points);
+    const SweepOutcome outcome = runner.supervise(points, {});
     EXPECT_EQ(outcome.completed(), kJobs - failing.size());
     ASSERT_EQ(outcome.failures.size(), failing.size());
     for (const JobFailure& f : outcome.failures) {
@@ -395,8 +383,8 @@ TEST(SoakTest, SupervisedSweepUnderSeededFaults) {
     ResultCache cache(cache_options);
     SweepOptions options;
     options.cache = &cache;
-    const SweepSupervisor supervisor(cluster::athlon_cluster(), options);
-    const SweepOutcome warm = supervisor.run(points);
+    const SweepRunner runner(cluster::athlon_cluster(), options);
+    const SweepOutcome warm = runner.supervise(points, {});
     EXPECT_TRUE(warm.ok());
     EXPECT_EQ(warm.results.size(), kJobs);
     for (std::size_t i = 0; i < kJobs; ++i) {

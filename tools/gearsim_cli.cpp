@@ -32,10 +32,10 @@
 // `sweep` and `space` go through exec::SweepRunner: --jobs fans the
 // independent points over worker threads (bit-identical to serial),
 // --cache DIR skips points already simulated by any earlier invocation
-// (content-addressed; see docs/EXECUTOR.md).  `sweep --keep-going` runs
-// under exec::SweepSupervisor instead: one failing point no longer
-// aborts the sweep — completed gears print, failures are reported, and
-// the exit code is 1 (see docs/RESILIENCE.md).
+// (content-addressed; see docs/EXECUTOR.md).  `sweep --keep-going` calls
+// exec::SweepRunner::supervise instead of run(): one failing point no
+// longer aborts the sweep — completed gears print, failures are
+// reported, and the exit code is 1 (see docs/RESILIENCE.md).
 //
 // `cache verify` walks a result-store directory validating every entry
 // (header, length, FNV-1a checksum, JSON decode) read-only; `cache
@@ -69,7 +69,6 @@
 #include "exec/cache_key.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/store.hpp"
-#include "exec/supervisor.hpp"
 #include "exec/sweep_runner.hpp"
 #include "model/analytic.hpp"
 #include "model/pipeline.hpp"
@@ -426,17 +425,16 @@ int cmd_sweep(const Args& args) {
   // --keep-going: supervised execution — failed points are reported and
   // the rest of the curve still prints (exit 1 signals the partial).
   const bool keep_going = args.has("keep-going");
+  const exec::SweepRunner runner(config, options);
   std::vector<std::optional<cluster::RunResult>> runs;
   exec::SweepOutcome outcome;
   if (keep_going) {
     exec::SupervisorOptions supervise;
     supervise.max_attempts = args.get_int("retries", 3);
     supervise.watchdog_seconds = std::stod(args.get("watchdog", "0"));
-    const exec::SweepSupervisor supervisor(config, options, supervise);
-    outcome = supervisor.run(points);
+    outcome = runner.supervise(points, supervise);
     runs = outcome.results;
   } else {
-    const exec::SweepRunner runner(config, options);
     auto all = runner.run(points);
     runs.reserve(all.size());
     for (auto& r : all) runs.emplace_back(std::move(r));
